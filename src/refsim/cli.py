@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-latency-hist", metavar="FILE",
                         help="write the read-latency histogram as CSV")
     parser.add_argument("--trace", action="append", metavar="FILE",
-                        help="trace file per core, repeatable (cycled over cores)")
+                        help="trace file per core, repeatable (one per core: two "
+                             "cores may not replay the same file)")
     parser.add_argument("--synthetic", choices=("random", "stream"),
                         help="use a synthetic workload on every core")
     parser.add_argument("--warmup", type=int, metavar="CYCLES",

@@ -13,11 +13,20 @@ Refresh interplay per cycle (at most one command per channel):
      activate;
   3. closed-row maintenance: precharge open rows with no pending hits;
   4. the policy's opportunistic hook (idle-bank or write-drain refreshes).
+Steps 2 and 3 share one sweep over the banks, which looks up each open
+bank's row hit once.  While the channel's data bus (engine.rw_floor) rules
+out every RD/WR this cycle, the row hits' ready times are not computed:
+the floor itself is a lower bound on the cycle the first of them can go.
 
 Scheduling passes are skipped between the minimum ready cycle reported by
 the timing engine and the next state event (request arrival, refresh end,
-writeback exit, policy commitment); decisions are identical to evaluating
-every cycle because nothing issuable can appear inside the skipped span.
+writeback exit, a change in the policy's committed refreshes); decisions
+are identical to evaluating every cycle because nothing issuable can
+appear inside the skipped span.  The policy's on_cycle likewise runs only
+at its next_event, and, for policies that watch demand, on the cycle after
+any request arrives, any RD/WR issues or any refresh issues.  always_scan
+turns all of this off: a pass and a policy call on every cycle, the
+reference the event-driven run must match.
 """
 
 import heapq
@@ -110,8 +119,9 @@ class ChannelController:
         self.shadow = SubarrayShadow(engine.geometry)
         self.stats = ChannelStats()
         self.next_attempt = 0        # earliest cycle a scheduling pass can matter
-        self.always_scan = False     # disable skipping (used by equivalence tests)
-        self._policy_wake = 0
+        self.always_scan = False     # cycle-by-cycle reference (equivalence tests)
+        self._policy_wake = 0        # earliest cycle policy.on_cycle must run
+        self._watch_demand = policy.watches_demand
         # per-direction row-hit candidate cache: (version, row, req-or-None)
         self._rd_version = [0] * self.nbanks
         self._wr_version = [0] * self.nbanks
@@ -144,6 +154,8 @@ class ChannelController:
         self.demand_counts[idx] += 1
         self.rank_demand[req.rank] += 1
         self.next_attempt = 0
+        if self._watch_demand:
+            self._policy_wake = 0
         return True
 
     def bank_demand_count(self, ri: int, bi: int) -> int:
@@ -170,12 +182,14 @@ class ChannelController:
                 self.writeback_active = False
                 self.next_attempt = now
         policy = self.policy
-        if now >= self._policy_wake:
+        scan = self.always_scan
+        if scan or now >= self._policy_wake:
+            committed = len(policy.pending)
             policy.on_cycle(now, self)
             self._policy_wake = policy.next_event(now)
-        if policy.pending:
-            self.next_attempt = now
-        if now < self.next_attempt and not self.always_scan:
+            if len(policy.pending) != committed:
+                self.next_attempt = now
+        if now < self.next_attempt and not scan:
             return
         issued, wake = self._full_pass(now)
         self.next_attempt = now + 1 if issued else max(now + 1, wake)
@@ -208,11 +222,6 @@ class ChannelController:
             return True, 0
         if w < wake:
             wake = w
-        issued, w = self._closed_row_precharge(now)
-        if issued:
-            return True, 0
-        if w < wake:
-            wake = w
         w = self.policy.opportunistic(now, self)
         if w <= now:
             return True, 0
@@ -229,6 +238,8 @@ class ChannelController:
             eng.issue_refpb(p.rank, p.bank, now, p.cycles, p.rows)
             self.shadow.on_refresh(p.rank, p.bank, p.rows)
         record = self.policy.on_issued(p, now, self)
+        if self._watch_demand:
+            self._policy_wake = 0
         st = self.stats
         st.refresh_log.append(record)
         st.refresh_counts[record.category] += 1
@@ -268,6 +279,8 @@ class ChannelController:
         return blocked
 
     def _schedule_demand(self, queues, now, is_write):
+        """Steps 2 and 3: a row hit, else an activate, else a closed-row
+        precharge, from one sweep over the banks."""
         eng = self.engine
         sarp = eng.sarp_enabled
         pending = self.policy.pending
@@ -280,31 +293,38 @@ class ChannelController:
         else:
             versions, hit_cache = self._rd_version, self._rd_hit
 
-        # single sweep collecting row-hit and activate candidates per bank
         hits = []
         acts = []
+        pre_idx = -1           # first bank whose idle open row can close now
+        pre_wake = BLOCKED
         for idx in range(self.nbanks):
             q = queues[idx]
-            if not q:
-                continue
-            if blocked is not None and idx in blocked:
-                continue
             bank = banks[idx]
             row = bank.open_row
             if row is not None:
-                ver = versions[idx]
-                cached = hit_cache[idx]
-                if cached[0] == ver and cached[1] == row:
-                    req = cached[2]
-                else:
-                    req = None
-                    for cand in q:
-                        if cand.row == row:
-                            req = cand
-                            break
-                    hit_cache[idx] = (ver, row, req)
-                if req is not None:
+                req = None
+                if q:
+                    ver = versions[idx]
+                    cached = hit_cache[idx]
+                    if cached[0] == ver and cached[1] == row:
+                        req = cached[2]
+                    else:
+                        for cand in q:
+                            if cand.row == row:
+                                req = cand
+                                break
+                        hit_cache[idx] = (ver, row, req)
+                if req is None:
+                    if pre_idx < 0:
+                        r = bank.pre_ready
+                        if r <= now:
+                            pre_idx = idx
+                        elif r < pre_wake:
+                            pre_wake = r
+                elif blocked is None or idx not in blocked:
                     hits.append(req)
+                continue
+            if not q or (blocked is not None and idx in blocked):
                 continue
             req = q[0]
             if bank.refresh_end > now:
@@ -317,16 +337,22 @@ class ChannelController:
                     continue
             acts.append(req)
 
-        # row hits first (oldest first), then the oldest ready activate
-        if len(hits) > 1:
-            hits.sort(key=_req_id)
-        for req in hits:
-            r = eng.rw_ready_at(req.rank, req.bank, req.row, now, is_write)
-            if r <= now:
-                self._issue_rw(req, now, is_write)
-                return True, 0
-            if r < wake:
-                wake = r
+        # row hits first (oldest first), unless the data bus is still busy
+        if hits:
+            floor = eng.rw_floor(is_write)
+            if floor > now:
+                wake = floor
+            else:
+                if len(hits) > 1:
+                    hits.sort(key=_req_id)
+                for req in hits:
+                    r = eng.rw_ready_at(req.rank, req.bank, req.row, now, is_write)
+                    if r <= now:
+                        self._issue_rw(req, now, is_write)
+                        return True, 0
+                    if r < wake:
+                        wake = r
+        # then the oldest ready activate
         if len(acts) > 1:
             acts.sort(key=_req_id)
         for req in acts:
@@ -338,44 +364,11 @@ class ChannelController:
                 return True, 0
             if r < wake:
                 wake = r
-        return False, wake
-
-    def _closed_row_precharge(self, now):
-        eng = self.engine
-        if self.writeback_active:
-            queues, versions, hit_cache = \
-                self.bank_writes, self._wr_version, self._wr_hit
-        else:
-            queues, versions, hit_cache = \
-                self.bank_reads, self._rd_version, self._rd_hit
-        wake = BLOCKED
-        for idx in range(self.nbanks):
-            bank = eng.banks[idx]
-            row = bank.open_row
-            if row is None:
-                continue
-            q = queues[idx]
-            if q:
-                ver = versions[idx]
-                cached = hit_cache[idx]
-                if cached[0] == ver and cached[1] == row:
-                    req = cached[2]
-                else:
-                    req = None
-                    for cand in q:
-                        if cand.row == row:
-                            req = cand
-                            break
-                    hit_cache[idx] = (ver, row, req)
-                if req is not None:
-                    continue
-            r = bank.pre_ready
-            if r <= now:
-                eng.issue_pre(idx // self.nb, idx % self.nb, now)
-                return True, 0
-            if r < wake:
-                wake = r
-        return False, wake
+        # then close the first idle open row
+        if pre_idx >= 0:
+            eng.issue_pre(pre_idx // nb, pre_idx % nb, now)
+            return True, 0
+        return False, wake if wake < pre_wake else pre_wake
 
     def _issue_rw(self, req: MemRequest, now: int, is_write: bool) -> None:
         eng = self.engine
@@ -393,6 +386,8 @@ class ChannelController:
             heapq.heappush(self.returns, (done, req.id, req))
         self.demand_counts[idx] -= 1
         self.rank_demand[req.rank] -= 1
+        if self._watch_demand:
+            self._policy_wake = 0
 
     def _complete_read(self, req: MemRequest, now: int) -> None:
         req.completion_cycle = now

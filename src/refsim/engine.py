@@ -198,6 +198,17 @@ class TimingEngine:
             t = v
         return t
 
+    def rw_floor(self, is_write: bool) -> int:
+        """The channel data-bus term of rw_ready_at: no RD (or WR) to any
+        bank of this channel can issue before this cycle."""
+        if is_write:
+            t = self.last_wr + self.tBURST
+            v = self.last_rd + self.tRTW
+        else:
+            t = self.last_rd + self.tBURST
+            v = self.last_wr + self.tCWL + self.tBURST + self.tWTR
+        return v if v > t else t
+
     def rw_ready_at(self, ri: int, bi: int, row: int, now: int, is_write: bool) -> int:
         bank = self.banks[ri * self.n_banks + bi]
         if bank.open_row != row:
@@ -206,16 +217,7 @@ class TimingEngine:
         if bank.refresh_end > now and not self.sarp_enabled:
             if bank.refresh_end > t:
                 t = bank.refresh_end
-        if is_write:
-            v = self.last_wr + self.tBURST
-            if v > t:
-                t = v
-            v = self.last_rd + self.tRTW
-        else:
-            v = self.last_rd + self.tBURST
-            if v > t:
-                t = v
-            v = self.last_wr + self.tCWL + self.tBURST + self.tWTR
+        v = self.rw_floor(is_write)
         return v if v > t else t
 
     def pre_ready_at(self, ri: int, bi: int) -> int:

@@ -63,6 +63,9 @@ class RefreshPolicy:
     """Base: no refresh at all (the ideal upper bound)."""
 
     kind = "noref"
+    # on_cycle reads the demand queues: the controller then also runs it on
+    # the cycle after any request arrives or issues and after any refresh
+    watches_demand = False
 
     def __init__(self, geometry: DramGeometry, timing: TimingParams, seed: int = 0):
         self.geometry = geometry
@@ -292,10 +295,17 @@ class ElasticAllBankPolicy(RefreshPolicy):
     at each boundary whether to issue or postpone; a postponed refresh is
     released once the rank has been idle for a delay that shrinks linearly
     as the backlog approaches the eight-command limit.
+
+    A rank is idle while it has no queued demand (buffered writes count).
+    Idle runs are measured from the cycles on_cycle observes, so it must
+    run on the first cycle after every change in demand or in committed
+    refreshes (watches_demand); between those, next_event is the next
+    tREFIab boundary or the cycle an idle rank's release delay runs out.
     """
 
     kind = "elastic"
     EMA_WEIGHT = 0.2
+    watches_demand = True
 
     def __init__(self, geometry, timing, seed=0):
         super().__init__(geometry, timing, seed)
@@ -341,7 +351,15 @@ class ElasticAllBankPolicy(RefreshPolicy):
                         self._release(ri, "postponed")
 
     def next_event(self, now):
-        return now + 1      # tracks idle runs cycle by cycle
+        wake = min(self.next_boundary)
+        trfc = self.timing.tRFCab
+        for ri, owed in enumerate(self.owed):
+            since = self.idle_since[ri]
+            if owed and since >= 0 and not self._has_pending(ri):
+                release = since + (8 - len(owed)) * trfc // 8
+                if release < wake:
+                    wake = release
+        return wake
 
     def _has_pending(self, ri):
         return any(p.rank == ri for p in self.pending)
@@ -496,13 +514,13 @@ def retention_audit(records: list[RefreshRecord], geometry: DramGeometry,
                     stale[:max_reported_rows]))
             else:
                 arr = last_row_refresh.get((ri, bi))
-                if arr is not None:
+                # the per-row scan only when the oldest row is over the limit
+                if arr is not None and end_cycle - min(arr) > retention + slack:
                     stale = [r for r in range(nrows)
                              if end_cycle - arr[r] > retention + slack]
-                    if stale:
-                        violations.append(AuditViolation(
-                            "stale-row", ri, bi,
-                            f"{len(stale)} rows beyond retention at end of run",
-                            stale[:max_reported_rows]))
+                    violations.append(AuditViolation(
+                        "stale-row", ri, bi,
+                        f"{len(stale)} rows beyond retention at end of run",
+                        stale[:max_reported_rows]))
 
     return AuditReport(violations, max_lateness)

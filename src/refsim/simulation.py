@@ -9,6 +9,7 @@ audits see an unbroken schedule.
 """
 
 import itertools
+import os
 
 from .config import CORE_CLOCK_RATIO, SimConfig, WorkloadSpec
 from .controller import ChannelController
@@ -59,6 +60,22 @@ class _LoopingTrace:
         return rec
 
 
+def _check_distinct_traces(config: SimConfig) -> None:
+    """Trace-fed cores get no per-core base offset or page scatter, so two
+    cores replaying one file would silently share the same rows."""
+    owner = {}
+    for core in range(config.cores):
+        spec = config.workload_for(core)
+        if spec.kind != "trace":
+            continue
+        path = os.path.realpath(spec.path)
+        if path in owner:
+            raise ConfigError(
+                f"cores {owner[path]} and {core} would both replay trace "
+                f"{spec.path}; give every core its own trace file")
+        owner[path] = core
+
+
 def make_trace_stream(spec: WorkloadSpec, seed: int, base: int,
                       total_address_bits: int = 0):
     if spec.kind == "trace":
@@ -76,6 +93,7 @@ def make_trace_stream(spec: WorkloadSpec, seed: int, base: int,
 class Simulation:
     def __init__(self, config: SimConfig, core_indices=None,
                  enable_cmd_log: bool = False):
+        _check_distinct_traces(config)
         self.config = config
         self.timing = build_timing(config)
         geo = config.geometry

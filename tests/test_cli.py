@@ -139,12 +139,37 @@ def test_synthetic_override(conf, capsys):
     assert "stream:" in capsys.readouterr().out
 
 
+def write_traces(tmp_path, n):
+    """One 64-line trace per core, each in row 0 of the core's own bank
+    (bank bits start at bit 13 in the test config's address map)."""
+    paths = []
+    for core in range(n):
+        path = tmp_path / f"t{core}.trace"
+        path.write_text("".join(f"3 {hex((core << 13) + i * 64)} R\n"
+                                for i in range(64)))
+        paths.append(str(path))
+    return paths
+
+
 def test_trace_files(conf, tmp_path, capsys):
-    tfile = tmp_path / "t.trace"
-    tfile.write_text("".join(f"3 {hex(i * 64)} R\n" for i in range(64)))
+    argv = ["--config", str(conf), "--policy", "noref"]
+    for path in write_traces(tmp_path, 2):        # one per core
+        argv += ["--trace", path]
+    assert main(argv) == 0
+    # distinct traces per core are labelled as a mix
+    assert ",mix:trace," in capsys.readouterr().out
+
+
+def test_shared_trace_file_is_config_error(conf, tmp_path, capsys):
+    # two cores replaying one file would hit the same rows: refuse
+    tfile, = write_traces(tmp_path, 1)
     assert main(["--config", str(conf), "--policy", "noref",
-                 "--trace", str(tfile)]) == 0
-    assert "trace:" in capsys.readouterr().out
+                 "--trace", tfile]) == 1
+    err = capsys.readouterr().err
+    assert "cores 0 and 1 would both replay trace" in err
+    # the same file under another name is the same file
+    assert main(["--config", str(conf), "--policy", "noref", "--trace", tfile,
+                 "--trace", f"{tmp_path}/./t0.trace"]) == 1
 
 
 def test_console_entry_point():

@@ -5,7 +5,7 @@ import pytest
 from refsim.engine import ACT, PRE, RD, WR, REFAB, REFPB, DramCommand, TimingEngine
 from refsim.errors import AddressError, SimulationError
 
-from helpers import small_geometry, small_timing
+from helpers import random_stimulus, small_geometry, small_timing
 
 
 def make_engine(sarp=False, **timing_over):
@@ -226,3 +226,33 @@ class TestInvariants:
                 eng.issue(DramCommand(PRE, 0, 0, bi), t + 8)
         for i in range(4, len(acts)):
             assert acts[i] - acts[i - 4] >= 10
+
+
+@pytest.mark.parametrize("sarp", (False, True))
+@pytest.mark.parametrize("refresh_kind", (REFPB, REFAB))
+def test_rw_ready_at_is_bank_term_or_bus_floor(sarp, refresh_kind):
+    """Replayed over random stimulus, every open row's RD/WR ready time is
+    the larger of its bank's own term and the channel's data-bus floor."""
+    history = random_stimulus(make_engine(sarp), random.Random(23), 1500,
+                              refresh_kind)
+    eng = make_engine(sarp)
+    checked = 0
+    for cmd, t in history:
+        for now in (t - 1, t):
+            for ri in range(eng.n_ranks):
+                for bi in range(eng.n_banks):
+                    bank = eng.bank_state(ri, bi)
+                    if bank.open_row is None:
+                        continue
+                    term = bank.rw_ready
+                    if bank.refresh_end > now and not sarp:
+                        term = max(term, bank.refresh_end)
+                    for is_write in (False, True):
+                        floor = eng.rw_floor(is_write)
+                        ready = eng.rw_ready_at(ri, bi, bank.open_row, now,
+                                                is_write)
+                        assert ready == max(term, floor)
+                        assert ready >= floor
+                        checked += 1
+        eng.issue(cmd, t)
+    assert checked > 1000

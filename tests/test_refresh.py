@@ -307,14 +307,51 @@ class TestRetentionAudit:
         assert starved[0].rows, "stale rows of the silent bank must be listed"
 
     def test_stale_row_detected_on_long_run(self):
-        # retention 1 ms at tCK=1ns -> 1e6 cycles; sweep takes 64/2*20 = 640
-        # cycles, so honest logs pass; a log that stops revisiting rows fails.
+        # retention 2 us at tCK=1ns -> 2000 cycles, plus 8*tREFIab = 1280 of
+        # slack: a row may go 3280 cycles unrefreshed.  A round-robin sweep
+        # of a 64-row bank at 2 rows per command takes 32 * 8 * 20 = 5120.
         geo = small_geometry(ranks_per_channel=1)
         timing = small_timing(tREFIpb=20, tREFIab=160, retention_ms=0.002)
+        limit = timing.retention_cycles + 8 * timing.tREFIab
+        assert limit == 3280
+
+        # a log that goes quiet: every bank starves, all 64 rows at risk
         horizon = 2000 + 8 * 160 + 2000
-        records = rr_log(geo, timing, 600)   # covers every row once, then quiet
+        records = rr_log(geo, timing, 600)
         report = retention_audit(records, geo, timing, horizon)
-        assert not report.ok
+        last = {r.bank: r.cycle for r in records}
+        assert [(v.kind, v.bank, v.detail, v.rows) for v in report.violations] == [
+            ("starved-bank", b,
+             f"no refresh for {horizon - last[b]} cycles (64 rows at risk)",
+             list(range(16)))
+            for b in range(8)]
+
+        # a log that keeps every bank alive but sweeps too slowly: the rows
+        # first refreshed before end - limit, and the rows never reached,
+        # are stale when the run ends (bank 5 refreshed rows 0-1 at exactly
+        # end - limit, which is still in time)
+        end = 3400
+        report = retention_audit(rr_log(geo, timing, limit), geo, timing, end)
+        early = [0, 1]
+        expected = {b: early + list(range(42, 64)) for b in range(4)}
+        expected[4] = early + list(range(40, 64))
+        expected.update({b: list(range(40, 64)) for b in (5, 6, 7)})
+        assert [(v.kind, v.rank, v.bank, v.detail, v.rows)
+                for v in report.violations] == [
+            ("stale-row", 0, b,
+             f"{len(rows)} rows beyond retention at end of run", rows[:16])
+            for b, rows in sorted(expected.items())]
+
+        # the limit is exact: rows 2-3, last refreshed at cycle 1000, are
+        # in time at 1000 + limit and stale one cycle later
+        geo = small_geometry(ranks_per_channel=1, banks_per_rank=1,
+                             rows_per_bank=4, subarrays_per_bank=2)
+        records = [RefreshRecord(c, REFPB, 0, 0, 0, "nominal", 2, 8, c)
+                   for c in (100, 1000, 3000)]
+        assert retention_audit(records, geo, timing, 1000 + limit).ok
+        report = retention_audit(records, geo, timing, 1000 + limit + 1)
+        assert [(v.kind, v.bank, v.detail, v.rows) for v in report.violations] \
+            == [("stale-row", 0, "2 rows beyond retention at end of run", [2, 3])]
 
     def test_empty_log_fails_liveness(self):
         geo = small_geometry(ranks_per_channel=1)

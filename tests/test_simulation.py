@@ -46,6 +46,40 @@ def test_event_skip_equals_cycle_by_cycle(policy):
     assert a == b
 
 
+def test_elastic_event_wake_equals_cycle_by_cycle():
+    """Read-only demand leaves the ranks idle between requests, so elastic
+    releases refreshes from idle gaps (postponed) as well as at its backlog
+    cap (forced); its event-driven wake must match a policy call per cycle."""
+    workload = WorkloadSpec(kind="random", footprint=32 << 20,
+                            read_fraction=1.0, intensity=40.0)
+    runs = [run("elastic", always_scan=scan, default_workload=workload)
+            for scan in (False, True)]
+    assert signature(*runs[0]) == signature(*runs[1])
+    categories = {r.category for r in runs[0][0].refresh_logs()[0]}
+    assert {"postponed", "forced"} <= categories
+
+
+@pytest.mark.parametrize("always_scan", (False, True))
+def test_always_scan_is_cycle_by_cycle(always_scan):
+    """always_scan, set after the Simulation is built, gives a policy call
+    and a scheduling pass on every cycle; without it both follow events."""
+    cycles = 3000
+    sim = Simulation(small_config("elastic", warmup_cycles=0,
+                                  measured_cycles=cycles))
+    policy_calls, passes = [], []
+    ctrl, = sim.controllers
+    ctrl.always_scan = always_scan
+    on_cycle, full_pass = ctrl.policy.on_cycle, ctrl._full_pass
+    ctrl.policy.on_cycle = lambda now, c: (policy_calls.append(now),
+                                           on_cycle(now, c))
+    ctrl._full_pass = lambda now: (passes.append(now), full_pass(now))[1]
+    sim.run()
+    if always_scan:
+        assert policy_calls == passes == list(range(cycles))
+    else:
+        assert len(policy_calls) < cycles and len(passes) < cycles
+
+
 @pytest.mark.parametrize("policy", ("ab", "darp", "dsarp"))
 def test_same_seed_bit_identical(policy):
     assert signature(*run(policy, seed=11)) == signature(*run(policy, seed=11))
