@@ -5,8 +5,8 @@
              [--dump-cmd-trace FILE] [--trace FILE ...]
              [--synthetic random|stream] [--jobs N]
 
-Exit codes: 0 success, 1 configuration error, 2 simulation assertion,
-3 audit failure.
+Exit codes: 0 success, 1 configuration error, 2 simulation assertion or
+metric error (e.g. a core that retired nothing), 3 audit failure.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .config import SimConfig, WorkloadSpec, load_config
-from .errors import AuditError, ConfigError, SimulationError
+from .errors import AuditError, ConfigError, MetricError, SimulationError
 from .experiment import SOLO_COLUMNS, rows_to_csv, run_experiment
 from .timing import POLICY_KINDS
 
@@ -73,11 +73,6 @@ def apply_overrides(config: SimConfig, args) -> SimConfig:
             i: WorkloadSpec(kind="trace", path=args.trace[i % len(args.trace)])
             for i in range(cores)}
     if args.policy:
-        for policy in args.policy:
-            if policy not in POLICY_KINDS:
-                raise ConfigError(
-                    f"invalid value for key 'policy': {policy!r} "
-                    f"(choose from {', '.join(POLICY_KINDS)})")
         fields["policy"] = args.policy[0]
     if args.density:
         fields["density"] = args.density[0]
@@ -106,6 +101,9 @@ def main(argv=None) -> int:
     except AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return 3
+    except MetricError as exc:
+        print(f"metric error: {exc}", file=sys.stderr)
+        return 2
     text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:

@@ -36,7 +36,6 @@ from collections import deque
 from .engine import BLOCKED, REFAB, REFPB, TimingEngine
 from .errors import ConfigError
 from .refresh import PendingRefresh, RefreshPolicy
-from .sarp import SubarrayShadow
 
 
 _req_id = operator.attrgetter("id")
@@ -63,10 +62,6 @@ class MemRequest:
         self.core_ref = None
         self.window_entry = None
         self.conflict_counted = False
-
-    @property
-    def kind(self) -> str:
-        return "write" if self.is_write else "read"
 
 
 class ChannelStats:
@@ -116,7 +111,6 @@ class ChannelController:
         self.write_count = 0
         self.writeback_active = False
         self.returns = []            # (data_cycle, req_id, req)
-        self.shadow = SubarrayShadow(engine.geometry)
         self.stats = ChannelStats()
         self.next_attempt = 0        # earliest cycle a scheduling pass can matter
         self.always_scan = False     # cycle-by-cycle reference (equivalence tests)
@@ -233,10 +227,8 @@ class ChannelController:
         eng = self.engine
         if p.kind == REFAB:
             eng.issue_refab(p.rank, now, p.cycles, p.rows)
-            self.shadow.on_all_bank_refresh(p.rank, p.rows)
         else:
             eng.issue_refpb(p.rank, p.bank, now, p.cycles, p.rows)
-            self.shadow.on_refresh(p.rank, p.bank, p.rows)
         record = self.policy.on_issued(p, now, self)
         if self._watch_demand:
             self._policy_wake = 0

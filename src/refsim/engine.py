@@ -2,19 +2,25 @@
 
 One engine instance models one channel: bank/rank state machines, the
 rolling four-activate window, bus turnaround, and refresh occupancy.  The
-controller drives it through the granular can_*/issue_* methods (hot path,
-integer arguments, no allocation); the DramCommand-based is_issuable/issue
-wrappers expose the same checks for tests and external callers.
+*_ready_at methods are the engine's one encoding of the DDR rules; the
+controller drives it through them and the issue_* methods (hot path,
+integer arguments, no allocation).  ready_at/issue take a DramCommand and
+dispatch to the same methods.
 
 With subarray-parallel mode enabled (SARP-style policies) a refreshing bank
 still accepts activates to subarrays other than the one being refreshed,
-under the scaled tFAW/tRRD constraints.
+under the scaled tFAW/tRRD constraints.  The device picks the subarray a
+refresh lands in from its per-bank refresh counters (ref_sa, ref_row).  A
+real controller keeps a shadow copy of those counters to steer accesses to
+idle subarrays; here the controller reads the engine's counters directly,
+which is equivalent because they advance deterministically with each REF
+the controller itself issues.
 """
 
 import heapq
 from dataclasses import dataclass
 
-from .errors import AddressError, SimulationError
+from .errors import SimulationError
 from .timing import DramGeometry, TimingParams
 
 NEG = -(1 << 30)
@@ -27,7 +33,17 @@ WR = "WR"
 REFAB = "REFab"
 REFPB = "REFpb"
 
-COMMAND_KINDS = (ACT, PRE, RD, WR, REFAB, REFPB)
+
+def advance_refresh_counters(sa: int, local_row: int, rows: int,
+                             geometry: DramGeometry) -> tuple[int, int]:
+    """Advance a bank's (refresh-subarray, local-row) counter pair by
+    `rows`, carrying into the subarray counter modulo the subarray count."""
+    local_row += rows
+    rps = geometry.rows_per_subarray
+    if local_row >= rps:
+        sa = (sa + local_row // rps) % geometry.subarrays_per_bank
+        local_row %= rps
+    return sa, local_row
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,6 @@ class TimingEngine:
         self.sarp_enabled = sarp_enabled
         self.n_ranks = geometry.ranks_per_channel
         self.n_banks = geometry.banks_per_rank
-        self.n_subarrays = geometry.subarrays_per_bank
         self.rows_per_sub = geometry.rows_per_subarray
         self.banks = [_Bank() for _ in range(self.n_ranks * self.n_banks)]
         self.ranks = [_Rank() for _ in range(self.n_ranks)]
@@ -252,22 +267,6 @@ class TimingEngine:
         v = rank.last_act + self.tRRD
         return v if v > t else t
 
-    # boolean wrappers for callers that only need a yes/no answer
-    def can_act(self, ri, bi, row, now) -> bool:
-        return self.act_ready_at(ri, bi, row, now) <= now
-
-    def can_rw(self, ri, bi, row, now, is_write) -> bool:
-        return self.rw_ready_at(ri, bi, row, now, is_write) <= now
-
-    def can_pre(self, ri, bi, now) -> bool:
-        return self.pre_ready_at(ri, bi) <= now
-
-    def can_refpb(self, ri, bi, now) -> bool:
-        return self.refpb_ready_at(ri, bi, now) <= now
-
-    def can_refab(self, ri, now) -> bool:
-        return self.refab_ready_at(ri, now) <= now
-
     # -- granular state transitions (caller must have checked legality) --
 
     def issue_act(self, ri: int, bi: int, row: int, now: int) -> None:
@@ -325,13 +324,6 @@ class TimingEngine:
             self.cmd_log.append((now, WR, self.channel_index, ri, bi,
                                  row // self.rows_per_sub, row, column))
 
-    def _advance_ref_counters(self, bank: _Bank, rows: int) -> None:
-        row = bank.ref_row + rows
-        if row >= self.rows_per_sub:
-            bank.ref_sa = (bank.ref_sa + row // self.rows_per_sub) % self.n_subarrays
-            row %= self.rows_per_sub
-        bank.ref_row = row
-
     def issue_refpb(self, ri: int, bi: int, now: int,
                     cycles: int | None = None, rows: int | None = None) -> None:
         cycles = self.tRFCpb if cycles is None else cycles
@@ -340,7 +332,8 @@ class TimingEngine:
         end = now + cycles
         bank.refresh_end = end
         bank.refresh_subarray = bank.ref_sa
-        self._advance_ref_counters(bank, rows)
+        bank.ref_sa, bank.ref_row = advance_refresh_counters(
+            bank.ref_sa, bank.ref_row, rows, self.geometry)
         rank = self.ranks[ri]
         rank.refresh_until = end
         self._busy_inc(rank, now)
@@ -363,7 +356,8 @@ class TimingEngine:
         for bank in self.banks[base:base + self.n_banks]:
             bank.refresh_end = end
             bank.refresh_subarray = bank.ref_sa
-            self._advance_ref_counters(bank, rows)
+            bank.ref_sa, bank.ref_row = advance_refresh_counters(
+                bank.ref_sa, bank.ref_row, rows, self.geometry)
         rank = self.ranks[ri]
         rank.refresh_until = end
         self._busy_inc(rank, now, self.n_banks)
@@ -375,122 +369,28 @@ class TimingEngine:
         if self.cmd_log is not None:
             self.cmd_log.append((now, REFAB, self.channel_index, ri, 0, sa, 0, 0))
 
-    # -- DramCommand wrappers --
+    # -- DramCommand entry point --
 
-    def _validate_address(self, cmd: DramCommand) -> None:
-        g = self.geometry
-        if cmd.kind not in COMMAND_KINDS:
-            raise AddressError(f"unknown command kind {cmd.kind!r}")
-        if cmd.channel != self.channel_index:
-            raise AddressError(f"command for channel {cmd.channel} sent to "
-                               f"engine of channel {self.channel_index}")
-        if not 0 <= cmd.rank < g.ranks_per_channel:
-            raise AddressError(f"rank {cmd.rank} out of range")
-        if cmd.kind != REFAB and not 0 <= cmd.bank < g.banks_per_rank:
-            raise AddressError(f"bank {cmd.bank} out of range")
-        if cmd.kind in (ACT, RD, WR) and not 0 <= cmd.row < g.rows_per_bank:
-            raise AddressError(f"row {cmd.row} out of range")
-        if cmd.kind in (RD, WR) and not 0 <= cmd.column < g.columns_per_row:
-            raise AddressError(f"column {cmd.column} out of range")
-
-    def why_blocked(self, cmd: DramCommand, now: int) -> str | None:
-        """Returns the first violated constraint's name, or None if issuable."""
-        self._validate_address(cmd)
-        ri, bi, row = cmd.rank, cmd.bank, cmd.row
-        rank = self.ranks[ri]
-        refreshing_rank = rank.refresh_until > now
-        trrd = self.tRRD_ref if refreshing_rank else self.tRRD
-        tfaw = self.tFAW_ref if refreshing_rank else self.tFAW
+    def ready_at(self, cmd: DramCommand, now: int) -> int:
+        """The *_ready_at answer for one command."""
         kind = cmd.kind
-
         if kind == ACT:
-            bank = self.banks[ri * self.n_banks + bi]
-            if bank.refresh_end > now:
-                if not self.sarp_enabled:
-                    return "bank-refreshing"
-                if bank.open_row is not None:
-                    return "subarray-busy"
-                if row // self.rows_per_sub == bank.refresh_subarray:
-                    return "subarray-conflict"
-            elif bank.open_row is not None:
-                return "bank-busy"
-            if now < bank.act_ready:
-                return "tRP" if now < bank.last_pre + self.tRP else "tRC"
-            if now < rank.last_act + trrd:
-                return "tRRD"
-            if now < rank.act_window[rank.win_idx] + tfaw:
-                return "tFAW"
-            return None
-
-        if kind in (RD, WR):
-            bank = self.banks[ri * self.n_banks + bi]
-            if bank.refresh_end > now and not self.sarp_enabled:
-                return "bank-refreshing"
-            if bank.open_row is None:
-                return "no-open-row"
-            if bank.open_row != row:
-                return "row-mismatch"
-            if now < bank.rw_ready:
-                return "tRCD"
-            if kind == WR:
-                if now < self.last_wr + self.tBURST:
-                    return "bus-burst"
-                if now < self.last_rd + self.tRTW:
-                    return "tRTW"
-            else:
-                if now < self.last_rd + self.tBURST:
-                    return "bus-burst"
-                if now < self.last_wr + self.tCWL + self.tBURST + self.tWTR:
-                    return "tWTR"
-            return None
-
+            return self.act_ready_at(cmd.rank, cmd.bank, cmd.row, now)
         if kind == PRE:
-            bank = self.banks[ri * self.n_banks + bi]
-            if bank.open_row is None:
-                return "no-open-row"
-            if now < bank.pre_ready:
-                return "pre-ready"
-            return None
-
+            return self.pre_ready_at(cmd.rank, cmd.bank)
+        if kind in (RD, WR):
+            return self.rw_ready_at(cmd.rank, cmd.bank, cmd.row, now, kind == WR)
         if kind == REFPB:
-            if refreshing_rank:
-                return "refresh-overlap"
-            bank = self.banks[ri * self.n_banks + bi]
-            if bank.open_row is not None:
-                if not self.sarp_enabled:
-                    return "bank-not-precharged"
-                if bank.open_row // self.rows_per_sub == bank.ref_sa:
-                    return "subarray-conflict"
-            if now < bank.act_ready:
-                return "tRP"
-            if now < rank.last_act + self.tRRD:
-                return "tRRD"
-            return None
+            return self.refpb_ready_at(cmd.rank, cmd.bank, now)
+        return self.refab_ready_at(cmd.rank, now)
 
-        # REFab
-        if refreshing_rank:
-            return "refresh-overlap"
-        base = ri * self.n_banks
-        for bank in self.banks[base:base + self.n_banks]:
-            if bank.open_row is not None:
-                return "bank-not-precharged"
-            if now < bank.act_ready:
-                return "tRP"
-        if now < rank.last_act + self.tRRD:
-            return "tRRD"
-        return None
-
-    def is_issuable(self, cmd: DramCommand, now: int) -> bool:
-        return self.why_blocked(cmd, now) is None
-
-    def issue(self, cmd: DramCommand, now: int,
-              refresh_cycles: int | None = None,
-              refresh_rows: int | None = None) -> int | None:
+    def issue(self, cmd: DramCommand, now: int) -> int | None:
         """Apply a command; returns the data-return cycle for reads."""
-        reason = self.why_blocked(cmd, now)
-        if reason is not None:
+        ready = self.ready_at(cmd, now)
+        if ready > now:
             raise SimulationError(
-                f"illegal {cmd.kind} at cycle {now}: blocked by {reason}")
+                f"illegal {cmd.kind} at cycle {now}: ready at "
+                f"{'a state change' if ready == BLOCKED else ready}")
         self.advance(now)
         kind = cmd.kind
         if kind == ACT:
@@ -502,9 +402,9 @@ class TimingEngine:
         elif kind == WR:
             self.issue_wr(cmd.rank, cmd.bank, cmd.column, now)
         elif kind == REFPB:
-            self.issue_refpb(cmd.rank, cmd.bank, now, refresh_cycles, refresh_rows)
+            self.issue_refpb(cmd.rank, cmd.bank, now)
         else:
-            self.issue_refab(cmd.rank, now, refresh_cycles, refresh_rows)
+            self.issue_refab(cmd.rank, now)
         return None
 
     # -- introspection helpers --

@@ -9,13 +9,9 @@ class SimulationError(Exception):
     """Internal consistency failure (a bug, not recoverable); CLI exit code 2."""
 
 
-class AddressError(SimulationError):
-    """Command or request addressed outside the configured geometry."""
-
-
 class AuditError(Exception):
     """A post-run audit (retention or command-history check) failed; CLI exit code 3."""
 
 
 class MetricError(ValueError):
-    """Invalid input to a performance metric (e.g. zero alone-IPC)."""
+    """Invalid input to a performance metric (e.g. zero alone-IPC); CLI exit code 2."""

@@ -22,9 +22,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .engine import BLOCKED, REFAB, REFPB
+from .engine import BLOCKED, REFAB, REFPB, advance_refresh_counters
 from .errors import SimulationError
-from .sarp import advance_refresh_counters
 from .timing import DramGeometry, TimingParams, fgr_timing
 
 CREDIT_MIN = -8

@@ -196,9 +196,6 @@ class Simulation:
             stats.writeback_cycles += st.writeback_cycles
         return stats
 
-    def per_core_ipc(self, stats: SimStats) -> list[float]:
-        return [stats.ipc(i) for i in range(len(self.cores))]
-
     def refresh_logs(self):
         """Whole-run refresh records per channel (survives the warmup reset)."""
         return [ctrl.stats.refresh_log for ctrl in self.controllers]

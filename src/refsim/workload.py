@@ -193,12 +193,10 @@ class Core:
         self.cur_bubbles = 0
         self.cur_access = None      # MemRequest awaiting dispatch
         self.blocked_returns = False   # wait for a read return (mshr/window)
-        self.trace_ended = False
 
     def _next_record(self, now: int) -> bool:
         rec = next(self.trace, None)
         if rec is None:
-            self.trace_ended = True
             return False
         self.cur_bubbles = rec.bubbles
         ch, rank, bank, row, col = self.addr_map.decode(rec.address)
@@ -280,9 +278,3 @@ class Core:
 
     def snapshot(self) -> tuple[int, int]:
         return self.retired, self.core_cycle
-
-    @staticmethod
-    def ipc(begin: tuple[int, int], end: tuple[int, int]) -> float:
-        instrs = end[0] - begin[0]
-        cycles = end[1] - begin[1]
-        return instrs / cycles if cycles > 0 else 0.0

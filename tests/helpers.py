@@ -29,6 +29,40 @@ def small_timing(**over) -> TimingParams:
     return TimingParams(**fields)
 
 
+def random_command(engine: TimingEngine, rng: random.Random,
+                   refresh_kind: str | None = REFPB) -> DramCommand | None:
+    """A random command for the engine's current state, or None when the
+    roll picked a kind with nothing to target."""
+    g = engine.geometry
+    roll = rng.random()
+    ri = rng.randrange(g.ranks_per_channel)
+    bi = rng.randrange(g.banks_per_rank)
+    if roll < 0.35:
+        return DramCommand(ACT, engine.channel_index, ri, bi,
+                           row=rng.randrange(g.rows_per_bank))
+    if roll < 0.65:
+        # target an open row when one exists so reads/writes make progress
+        open_banks = [(r, b) for r in range(g.ranks_per_channel)
+                      for b in range(g.banks_per_rank)
+                      if engine.bank_state(r, b).open_row is not None]
+        if not open_banks:
+            return None
+        ri, bi = rng.choice(open_banks)
+        row = engine.bank_state(ri, bi).open_row
+        kind = RD if rng.random() < 0.6 else WR
+        return DramCommand(kind, engine.channel_index, ri, bi, row=row,
+                           column=rng.randrange(g.columns_per_row))
+    if roll < 0.85:
+        return DramCommand(PRE, engine.channel_index, ri, bi)
+    if refresh_kind == REFPB:
+        return DramCommand(REFPB, engine.channel_index, ri, bi,
+                           subarray=engine.bank_state(ri, bi).ref_sa)
+    if refresh_kind == REFAB:
+        return DramCommand(REFAB, engine.channel_index, ri,
+                           subarray=engine.bank_state(ri, 0).ref_sa)
+    return None
+
+
 def random_stimulus(engine: TimingEngine, rng: random.Random, n_accepted: int,
                     refresh_kind: str | None = REFPB):
     """Attempt random commands, issuing the ones the engine accepts.
@@ -36,41 +70,15 @@ def random_stimulus(engine: TimingEngine, rng: random.Random, n_accepted: int,
     Returns the accepted history as (cmd, cycle) pairs.  At most one
     command per cycle, matching the controller's command-bus model.
     """
-    g = engine.geometry
     history = []
     t = 0
     attempts_since_accept = 0
     while len(history) < n_accepted:
         t += rng.randint(1, 3)
-        roll = rng.random()
-        ri = rng.randrange(g.ranks_per_channel)
-        bi = rng.randrange(g.banks_per_rank)
-        if roll < 0.35:
-            cmd = DramCommand(ACT, engine.channel_index, ri, bi,
-                              row=rng.randrange(g.rows_per_bank))
-        elif roll < 0.65:
-            # target an open row when one exists so reads/writes make progress
-            open_banks = [(r, b) for r in range(g.ranks_per_channel)
-                          for b in range(g.banks_per_rank)
-                          if engine.bank_state(r, b).open_row is not None]
-            if not open_banks:
-                continue
-            ri, bi = rng.choice(open_banks)
-            row = engine.bank_state(ri, bi).open_row
-            kind = RD if rng.random() < 0.6 else WR
-            cmd = DramCommand(kind, engine.channel_index, ri, bi, row=row,
-                              column=rng.randrange(g.columns_per_row))
-        elif roll < 0.85:
-            cmd = DramCommand(PRE, engine.channel_index, ri, bi)
-        elif refresh_kind == REFPB:
-            cmd = DramCommand(REFPB, engine.channel_index, ri, bi,
-                              subarray=engine.bank_state(ri, bi).ref_sa)
-        elif refresh_kind == REFAB:
-            cmd = DramCommand(REFAB, engine.channel_index, ri,
-                              subarray=engine.bank_state(ri, 0).ref_sa)
-        else:
+        cmd = random_command(engine, rng, refresh_kind)
+        if cmd is None:
             continue
-        if engine.why_blocked(cmd, t) is None:
+        if engine.ready_at(cmd, t) <= t:
             engine.issue(cmd, t)
             history.append((cmd, t))
             attempts_since_accept = 0
@@ -80,12 +88,19 @@ def random_stimulus(engine: TimingEngine, rng: random.Random, n_accepted: int,
     return history
 
 
+def planted_fault_timing() -> TimingParams:
+    """The timing the planted faults are built against: tRC exceeds
+    tRAS + tRP, so an activate can break tRC alone."""
+    return small_timing(tRAS=4, tRRD=4, tRRD_ref=5, tFAW=20, tFAW_ref=24)
+
+
 def planted_fault_histories():
-    """Hand-built illegal histories, each with the rule it must trip."""
+    """Hand-built illegal histories, each with the rule it must trip and
+    whether the oracle runs in subarray-parallel (SARP) mode."""
     cases = []
 
-    def add(name, rule_prefix, cmds):
-        cases.append((name, rule_prefix, cmds))
+    def add(name, rule_prefix, cmds, sarp=False):
+        cases.append((name, rule_prefix, cmds, sarp))
 
     A = ACT
     add("overlapping refpb in one rank", "refpb.overlap",
@@ -111,4 +126,28 @@ def planted_fault_histories():
          (DramCommand(WR, 0, 0, 0, row=1), 6)])
     add("all-bank refresh with open row", "refab.bank-not-precharged",
         [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(REFAB, 0, 0), 30)])
+    add("act too soon after precharge", "act.tRP",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(PRE, 0, 0, 0), 8),
+         (DramCommand(A, 0, 0, 0, row=2), 10)])
+    add("act too soon after act to one bank", "act.tRC",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(PRE, 0, 0, 0), 4),
+         (DramCommand(A, 0, 0, 0, row=2), 8)])
+    add("read too soon after write", "rd.tWTR",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(WR, 0, 0, 0, row=1), 3),
+         (DramCommand(RD, 0, 0, 0, row=1), 8)])
+    add("read inside the previous read's burst", "rd.bus-burst",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(RD, 0, 0, 0, row=1), 3),
+         (DramCommand(RD, 0, 0, 0, row=1), 4)])
+    add("read to a closed bank", "rw.no-open-row",
+        [(DramCommand(RD, 0, 0, 0, row=1), 5)])
+    add("per-bank refresh with open row", "refpb.bank-not-precharged",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(REFPB, 0, 0, 0), 30)])
+    add("refpb violates tRRD", "refpb.tRRD",
+        [(DramCommand(A, 0, 0, 0, row=1), 0), (DramCommand(REFPB, 0, 0, 7), 2)])
+    add("sarp act to the refreshing subarray", "act.subarray-conflict",
+        [(DramCommand(REFPB, 0, 0, 0, subarray=0), 0),
+         (DramCommand(A, 0, 0, 0, row=3), 2)], sarp=True)
+    add("sarp refpb of the open row's subarray", "refpb.subarray-conflict",
+        [(DramCommand(A, 0, 0, 0, row=3), 0),
+         (DramCommand(REFPB, 0, 0, 0, subarray=0), 30)], sarp=True)
     return cases

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from refsim.config import SimConfig, WorkloadSpec
-from refsim.engine import REFAB, REFPB, TimingEngine
+from refsim.engine import REFAB, REFPB, TimingEngine, advance_refresh_counters
 from refsim.experiment import rows_to_csv, run_cell, run_experiment
 from refsim.oracle import oracle_check
 from refsim.refresh import retention_audit
-from refsim.sarp import advance_refresh_counters, subarray_of_row
 from refsim.simulation import Simulation, build_timing
 from refsim.timing import (
     CurrentParams,
@@ -136,12 +135,12 @@ def test_criterion_5_oracle_equivalence(policy):
 
 
 def test_criterion_5_planted_faults():
-    from helpers import small_geometry, small_timing
+    from helpers import planted_fault_timing, small_geometry
     cases = planted_fault_histories()
-    assert len(cases) == 10
-    timing = small_timing(tRRD=4, tRRD_ref=5, tFAW=20, tFAW_ref=24)
-    for name, rule, cmds in cases:
-        violations = oracle_check(cmds, small_geometry(), timing)
+    assert len(cases) == 19
+    for name, rule, cmds, sarp in cases:
+        violations = oracle_check(cmds, small_geometry(), planted_fault_timing(),
+                                  sarp_enabled=sarp)
         assert violations, f"planted fault not caught: {name}"
         assert violations[0].rule == rule
 
@@ -260,7 +259,7 @@ def test_criterion_8_subarray_conflict_frequency(subarrays, expected):
     for i in range(samples):
         if i % 9 == 0:
             sa, local_row = advance_refresh_counters(sa, local_row, 8, geo)
-        if subarray_of_row(rng.randrange(geo.rows_per_bank), geo) == sa:
+        if rng.randrange(geo.rows_per_bank) // geo.rows_per_subarray == sa:
             conflicts += 1
     assert conflicts / samples == pytest.approx(expected, abs=0.02)
 

@@ -56,6 +56,12 @@ def test_missing_config_is_exit_1(tmp_path, capsys):
 def test_bad_policy_is_exit_1(conf, capsys):
     assert main(["--config", str(conf), "--policy", "banana"]) == 1
     assert "banana" in capsys.readouterr().err
+    # a bad later --policy fails before any cell runs
+    assert main(["--config", str(conf), "--policy", "pb",
+                 "--policy", "banana"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: invalid value for key 'policy': 'banana'" in err
 
 
 def test_refresh_log_dump(conf, tmp_path):
@@ -170,6 +176,25 @@ def test_shared_trace_file_is_config_error(conf, tmp_path, capsys):
     # the same file under another name is the same file
     assert main(["--config", str(conf), "--policy", "noref", "--trace", tfile,
                  "--trace", f"{tmp_path}/./t0.trace"]) == 1
+
+
+def test_starved_core_is_metric_error_exit_2(conf, tmp_path, capsys):
+    # core 0 streams row hits to row 0 of bank 0 while core 1 misses to
+    # row 16 of the same bank: core 1 retires nothing, so its shared IPC
+    # is 0 and the weighted speedup is undefined
+    from refsim.config import load_config
+    from refsim.workload import AddressMap
+    amap = AddressMap(load_config(str(conf)).geometry)
+    argv = ["--config", str(conf), "--policy", "noref"]
+    for core, row in enumerate((0, 16)):
+        path = tmp_path / f"t{core}.trace"
+        path.write_text("".join(f"3 {hex(amap.encode(0, 0, 0, row, i))} R\n"
+                                for i in range(64)))
+        argv += ["--trace", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("metric error: shared IPC must be positive")
 
 
 def test_console_entry_point():
