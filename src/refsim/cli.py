@@ -2,8 +2,9 @@
 
     simulate --config FILE [--policy P ...] [--density D ...] [--seed N]
              [--out results.csv] [--dump-refresh-log FILE]
-             [--dump-cmd-trace FILE] [--trace FILE ...]
-             [--synthetic random|stream] [--jobs N]
+             [--dump-cmd-trace FILE] [--dump-latency-hist FILE]
+             [--trace FILE ...] [--synthetic random|stream]
+             [--warmup CYCLES] [--measure CYCLES] [--cores N] [--jobs N]
 
 Exit codes: 0 success, 1 configuration error, 2 simulation assertion or
 metric error (e.g. a core that retired nothing), 3 audit failure.

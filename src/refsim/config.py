@@ -9,11 +9,12 @@ default evaluated-system value (DDR3-1333, 2 channels, 2 ranks/channel,
 48/32, 8 cores at a 6:1 core-to-DRAM-command clock ratio).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import get_args
 
 from .errors import ConfigError
 from .timing import (
-    CurrentParams, DensityProfile, DramGeometry, RawTimings, POLICY_KINDS,
+    CurrentParams, DensityProfile, DramGeometry, RawTimings, policy_row,
 )
 
 CORE_CLOCK_RATIO = 6     # 4 GHz core vs. 666.67 MHz DRAM command clock
@@ -106,10 +107,7 @@ class SimConfig:
     default_workload: WorkloadSpec = field(default_factory=WorkloadSpec)
 
     def __post_init__(self):
-        if self.policy not in POLICY_KINDS:
-            raise ConfigError(
-                f"invalid value for key 'policy': {self.policy!r} "
-                f"(choose from {', '.join(POLICY_KINDS)})")
+        policy_row(self.policy)   # validates the policy
         if self.measured_cycles <= 0:
             raise ConfigError("measured_cycles must be positive")
         DensityProfile.for_density(self.density)   # validates the density
@@ -130,26 +128,26 @@ class SimConfig:
         return next(iter(specs)).label() if specs else self.default_workload.label()
 
 
-_GEOMETRY_KEYS = {
-    "channels": int, "ranks_per_channel": int, "banks_per_rank": int,
-    "subarrays_per_bank": int, "rows_per_bank": int, "columns_per_row": int,
-    "cacheline_bytes": int,
+def _keys(cls) -> dict:
+    """Config keys of a dataclass: each scalar field's name -> its parser
+    (an optional field parses as its non-None type)."""
+    keys = {}
+    for f in dataclass_fields(cls):
+        tp = next((t for t in get_args(f.type) if t is not type(None)), f.type)
+        if tp in (int, float, str):
+            keys[f.name] = tp
+    return keys
+
+
+# config section -> (the SimConfig field it fills, None for SimConfig's own
+# keys; the dataclass whose scalar fields are the section's keys)
+_SECTIONS = {
+    "geometry": ("geometry", DramGeometry),
+    "timing": ("raw_timings", RawTimings),
+    "currents": ("currents", CurrentParams),
+    "sim": (None, SimConfig),
 }
-_TIMING_KEYS = {
-    "tCK_ns": float, "tRCD_ns": float, "tRP_ns": float, "tCL_ns": float,
-    "tCWL_ns": float, "tRAS_ns": float, "tRRD_ns": float, "tFAW_ns": float,
-    "tWTR_ns": float, "tRTW_ns": float, "tBURST_cycles": int,
-}
-_CURRENT_KEYS = {
-    "i_act": float, "i_ref_ab": float, "i_ref_pb": float, "i_bg_active": float,
-    "i_bg_precharged": float, "i_rd": float, "i_wr": float, "vdd": float,
-}
-_SIM_KEYS = {
-    "policy": str, "density": int, "retention_ms": float, "cores": int,
-    "seed": int, "warmup_cycles": int, "measured_cycles": int,
-    "read_queue_capacity": int, "write_queue_capacity": int,
-    "low_watermark": int, "high_watermark": int,
-}
+_SECTION_KEYS = {name: _keys(cls) for name, (_, cls) in _SECTIONS.items()}
 
 
 def load_config(path: str) -> SimConfig:
@@ -163,10 +161,7 @@ def load_config(path: str) -> SimConfig:
 
 def parse_config(lines, source: str = "<config>") -> SimConfig:
     section = "sim"
-    geometry = {}
-    timings = {}
-    currents = {}
-    sim = {}
+    values = {name: {} for name in _SECTIONS}
     workloads = {}
     default_workload = None
 
@@ -176,26 +171,14 @@ def parse_config(lines, source: str = "<config>") -> SimConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("geometry", "timing", "currents", "sim", "workload"):
+            if section not in _SECTIONS and section != "workload":
                 raise ConfigError(f"{source}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if section == "geometry":
-                if key not in _GEOMETRY_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [geometry]")
-                geometry[key] = _GEOMETRY_KEYS[key](value)
-            elif section == "timing":
-                if key not in _TIMING_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [timing]")
-                timings[key] = _TIMING_KEYS[key](value)
-            elif section == "currents":
-                if key not in _CURRENT_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [currents]")
-                currents[key] = _CURRENT_KEYS[key](value)
-            elif section == "workload":
+            if section == "workload":
                 if key == "default":
                     default_workload = parse_workload_spec(value)
                 elif key.startswith("core."):
@@ -203,27 +186,25 @@ def parse_config(lines, source: str = "<config>") -> SimConfig:
                 else:
                     raise ConfigError(f"unknown key {key!r} in [workload]")
             else:
-                if key not in _SIM_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in [sim]")
-                sim[key] = _SIM_KEYS[key](value)
+                keys = _SECTION_KEYS[section]
+                if key not in keys:
+                    raise ConfigError(f"unknown key {key!r} in [{section}]")
+                values[section][key] = keys[key](value)
         except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
         except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: invalid value for key {key!r}: {value!r}") from None
 
-    kwargs = dict(sim)
-    if geometry:
-        kwargs["geometry"] = DramGeometry(**geometry)
-    if timings:
-        kwargs["raw_timings"] = RawTimings(**timings)
-    if currents:
-        kwargs["currents"] = CurrentParams(**currents)
+    kwargs = values["sim"]
     if workloads:
         kwargs["workloads"] = workloads
     if default_workload is not None:
         kwargs["default_workload"] = default_workload
     try:
+        for name, (field_name, cls) in _SECTIONS.items():
+            if field_name and values[name]:
+                kwargs[field_name] = cls(**values[name])
         return SimConfig(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None

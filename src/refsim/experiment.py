@@ -1,20 +1,22 @@
 """Sweep orchestration: (policy x density) cells, automatic solo runs for
 weighted speedup, per-cell retention audits, and deterministic CSV output.
 
-Cells are independent; with jobs > 1 they run in separate processes and
-the rows are merged back in sweep order, so parallel output is byte-equal
-to serial output.
+Cells are independent; with jobs > 1 they run in separate processes, each
+cell writing its own audits and dump files, and the rows are merged back
+in sweep order, so parallel output is byte-equal to serial output.
 """
 
 import csv
 import io
 from dataclasses import replace
+from functools import partial
 
 from .config import SimConfig
-from .errors import AuditError
+from .errors import AuditError, ConfigError
 from .metrics import energy_accumulate, harmonic_speedup, max_slowdown, weighted_speedup
 from .refresh import retention_audit
 from .simulation import Simulation
+from .timing import policy_row
 
 CSV_COLUMNS = (
     "policy", "density_gbit", "workload", "seed", "ws", "hs", "max_slowdown",
@@ -35,7 +37,7 @@ def _fmt(value) -> str:
 
 def audit_refresh_logs(sim: Simulation, config: SimConfig) -> int:
     """Retention-audit every channel's refresh log; returns max lateness."""
-    if config.policy == "noref":
+    if policy_row(config.policy).scope is None:
         return 0
     worst = 0
     for ch, log in enumerate(sim.refresh_logs()):
@@ -107,9 +109,21 @@ def run_cell(config: SimConfig, solo_cache: dict | None = None,
     return row, solo_rows, sim
 
 
-def _cell_task(config: SimConfig):
-    row, solo_rows, _ = run_cell(config)
-    return row, solo_rows
+def _cell_task(cell: SimConfig, solo_cache: dict, multi: bool,
+               dump_refresh_log: str | None, dump_cmd_trace: str | None,
+               dump_latency_hist: str | None):
+    """One sweep cell with its audits and dump files; runs in a worker
+    process when the sweep has several jobs."""
+    row, solos, sim = run_cell(cell, solo_cache,
+                               enable_cmd_log=bool(dump_cmd_trace))
+    if dump_refresh_log:
+        _dump_refresh_log(sim, cell, dump_refresh_log, multi)
+    if dump_cmd_trace:
+        _audit_command_logs(sim, cell)
+        _dump_cmd_trace(sim, cell, dump_cmd_trace, multi)
+    if dump_latency_hist:
+        _dump_latency_hist(sim, cell, dump_latency_hist, multi)
+    return row, solos
 
 
 def run_experiment(config: SimConfig, policies=None, densities=None,
@@ -117,53 +131,45 @@ def run_experiment(config: SimConfig, policies=None, densities=None,
                    dump_cmd_trace: str | None = None,
                    dump_latency_hist: str | None = None):
     """Run the sweep; returns (rows, solo_rows) in deterministic order."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     policies = list(policies) if policies else [config.policy]
     densities = list(densities) if densities else [config.density]
     cells = [replace(config, policy=p, density=d)
              for p in policies for d in densities]
-    want_dumps = dump_refresh_log or dump_cmd_trace or dump_latency_hist
+    # solo runs are policy-independent: cells run in one process share
+    # them; a pool sends each batch of cells its own copy of the cache
+    task = partial(_cell_task, solo_cache={}, multi=len(cells) > 1,
+                   dump_refresh_log=dump_refresh_log,
+                   dump_cmd_trace=dump_cmd_trace,
+                   dump_latency_hist=dump_latency_hist)
+
+    if jobs > 1 and len(cells) > 1:
+        import multiprocessing
+        with multiprocessing.Pool(jobs) as pool:
+            results = pool.map(task, cells)
+    else:
+        results = map(task, cells)
 
     rows = []
     solo_rows = []
     seen_solo = set()
-
-    def add_solos(solos):
+    for row, solos in results:
+        rows.append(row)
         for solo in solos:
             key = (solo["density_gbit"], solo["core"])
             if key not in seen_solo:
                 seen_solo.add(key)
                 solo_rows.append(solo)
-
-    if jobs > 1 and len(cells) > 1 and not want_dumps:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            for row, solos in pool.map(_cell_task, cells):
-                rows.append(row)
-                add_solos(solos)
-    else:
-        solo_cache = {}     # solo runs are policy-independent: share them
-        for cell in cells:
-            row, solos, sim = run_cell(cell, solo_cache,
-                                       enable_cmd_log=bool(dump_cmd_trace))
-            rows.append(row)
-            add_solos(solos)
-            if dump_refresh_log:
-                _dump_refresh_log(sim, cell, dump_refresh_log, len(cells) > 1)
-            if dump_cmd_trace:
-                _audit_command_logs(sim, cell)
-                _dump_cmd_trace(sim, cell, dump_cmd_trace, len(cells) > 1)
-            if dump_latency_hist:
-                _dump_latency_hist(sim, cell, dump_latency_hist, len(cells) > 1)
     solo_rows.sort(key=lambda r: (r["density_gbit"], r["core"]))
     return rows, solo_rows
 
 
 def _audit_command_logs(sim: Simulation, cell: SimConfig) -> None:
     from .oracle import commands_from_log, oracle_check
-    from .timing import SARP_POLICIES
     if cell.policy == "ar":
         return   # refresh extents vary per command; checked per fixed mode in tests
-    sarp = cell.policy in SARP_POLICIES
+    sarp = policy_row(cell.policy).sarp
     for ch, log in enumerate(sim.command_logs()):
         violations = oracle_check(commands_from_log(log), cell.geometry,
                                   sim.timing, sarp_enabled=sarp)

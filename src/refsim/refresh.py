@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .engine import BLOCKED, REFAB, REFPB, advance_refresh_counters
 from .errors import SimulationError
-from .timing import DramGeometry, TimingParams, fgr_timing
+from .timing import DramGeometry, TimingParams, fgr_timing, policy_row
 
 CREDIT_MIN = -8
 CREDIT_MAX = 8
@@ -61,7 +61,6 @@ class PendingRefresh:
 class RefreshPolicy:
     """Base: no refresh at all (the ideal upper bound)."""
 
-    kind = "noref"
     # on_cycle reads the demand queues: the controller then also runs it on
     # the cycle after any request arrives or issues and after any refresh
     watches_demand = False
@@ -97,8 +96,6 @@ class RefreshPolicy:
 class AllBankPolicy(RefreshPolicy):
     """Rank-level refresh on a fixed tREFIab grid (also the FGR carrier)."""
 
-    kind = "ab"
-
     def __init__(self, geometry, timing, seed=0):
         super().__init__(geometry, timing, seed)
         self.next_boundary = [timing.tREFIab] * geometry.ranks_per_channel
@@ -118,8 +115,6 @@ class AllBankPolicy(RefreshPolicy):
 
 class PerBankRoundRobinPolicy(RefreshPolicy):
     """Strict round-robin per-bank refresh on a tREFIpb grid."""
-
-    kind = "pb"
 
     def __init__(self, geometry, timing, seed=0):
         super().__init__(geometry, timing, seed)
@@ -166,8 +161,6 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
     bank with the fewest pending demands, hiding the refresh behind the
     writes of the other banks.
     """
-
-    kind = "darp"
 
     def __init__(self, geometry, timing, seed=0):
         super().__init__(geometry, timing, seed)
@@ -302,7 +295,6 @@ class ElasticAllBankPolicy(RefreshPolicy):
     tREFIab boundary or the cycle an idle rank's release delay runs out.
     """
 
-    kind = "elastic"
     EMA_WEIGHT = 0.2
     watches_demand = True
 
@@ -373,8 +365,6 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
     """Switches between normal-rate and 4x fine-granularity all-bank
     refresh at each boundary: fine mode when the read queue is idle."""
 
-    kind = "ar"
-
     def __init__(self, geometry, timing, seed=0):
         super().__init__(geometry, timing, seed)
         self.timing_1x = timing
@@ -396,26 +386,9 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
         return min(self.next_boundary)
 
 
-POLICY_CLASSES = {
-    "noref": RefreshPolicy,
-    "ab": AllBankPolicy,
-    "pb": PerBankRoundRobinPolicy,
-    "darp": OutOfOrderPerBankPolicy,
-    "elastic": ElasticAllBankPolicy,
-    "ar": AdaptiveRefreshPolicy,
-    "sarp-ab": AllBankPolicy,
-    "sarp-pb": PerBankRoundRobinPolicy,
-    "dsarp": OutOfOrderPerBankPolicy,
-    "fgr2x": AllBankPolicy,
-    "fgr4x": AllBankPolicy,
-}
-
-
 def make_policy(kind: str, geometry, timing, seed=0) -> RefreshPolicy:
-    cls = POLICY_CLASSES[kind]
-    policy = cls(geometry, timing, seed)
-    policy.kind = kind
-    return policy
+    """An instance of the scheduler class named by the kind's registry row."""
+    return globals()[policy_row(kind).scheduler](geometry, timing, seed)
 
 
 # ---------------------------------------------------------------------------

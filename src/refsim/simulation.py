@@ -17,7 +17,7 @@ from .engine import TimingEngine
 from .errors import ConfigError
 from .metrics import SimStats
 from .refresh import make_policy
-from .timing import SARP_POLICIES, derive_timing, fgr_timing
+from .timing import derive_timing, fgr_timing, policy_row
 from .workload import (AddressMap, Core, open_trace, parse_trace,
                        scatter_pages, synth_random, synth_stream)
 
@@ -25,11 +25,7 @@ from .workload import (AddressMap, Core, open_trace, parse_trace,
 def build_timing(config: SimConfig):
     timing = derive_timing(config.profile(), config.geometry,
                            config.raw_timings, config.currents, config.policy)
-    if config.policy == "fgr2x":
-        timing = fgr_timing(timing, "2x")
-    elif config.policy == "fgr4x":
-        timing = fgr_timing(timing, "4x")
-    return timing
+    return fgr_timing(timing, policy_row(config.policy).fgr)
 
 
 def _pow2_ceil(n: int) -> int:
@@ -97,7 +93,7 @@ class Simulation:
         self.config = config
         self.timing = build_timing(config)
         geo = config.geometry
-        sarp = config.policy in SARP_POLICIES
+        sarp = policy_row(config.policy).sarp
         self.engines = []
         self.controllers = []
         for ch in range(geo.channels):

@@ -25,15 +25,46 @@ DENSITY_TRFC_NS = {8: 350.0, 16: 530.0, 32: 890.0}
 FGR_TRFC_DIVISOR = {"1x": 1.0, "2x": 1.35, "4x": 1.63}
 FGR_RATE = {"1x": 1, "2x": 2, "4x": 4}
 
-POLICY_KINDS = (
-    "ab", "pb", "elastic", "darp", "sarp-ab", "sarp-pb", "dsarp",
-    "fgr2x", "fgr4x", "ar", "noref",
-)
-# Policies whose refresh commands operate at rank scope vs. bank scope.
-ALL_BANK_POLICIES = frozenset({"ab", "elastic", "sarp-ab", "fgr2x", "fgr4x", "ar"})
-PER_BANK_POLICIES = frozenset({"pb", "darp", "sarp-pb", "dsarp"})
-# Policies with subarray-level refresh-access parallelism enabled.
-SARP_POLICIES = frozenset({"sarp-ab", "sarp-pb", "dsarp"})
+
+@dataclass(frozen=True)
+class Policy:
+    """One refresh policy: the refresh.py scheduler class it runs, the
+    scope of its refresh commands ("ab" all-bank, "pb" per-bank, None for
+    no refresh), whether subarray-level refresh-access parallelism is on,
+    and its fine-granularity refresh mode."""
+    scheduler: str
+    scope: str | None
+    sarp: bool = False
+    fgr: str = "1x"
+
+
+POLICIES = {
+    "ab": Policy("AllBankPolicy", "ab"),
+    "pb": Policy("PerBankRoundRobinPolicy", "pb"),
+    "elastic": Policy("ElasticAllBankPolicy", "ab"),
+    "darp": Policy("OutOfOrderPerBankPolicy", "pb"),
+    "sarp-ab": Policy("AllBankPolicy", "ab", sarp=True),
+    "sarp-pb": Policy("PerBankRoundRobinPolicy", "pb", sarp=True),
+    "dsarp": Policy("OutOfOrderPerBankPolicy", "pb", sarp=True),
+    "fgr2x": Policy("AllBankPolicy", "ab", fgr="2x"),
+    "fgr4x": Policy("AllBankPolicy", "ab", fgr="4x"),
+    "ar": Policy("AdaptiveRefreshPolicy", "ab"),
+    "noref": Policy("RefreshPolicy", None),
+}
+# Views of the registry.
+POLICY_KINDS = tuple(POLICIES)
+PER_BANK_POLICIES = frozenset(k for k, p in POLICIES.items() if p.scope == "pb")
+SARP_POLICIES = frozenset(k for k, p in POLICIES.items() if p.sarp)
+
+
+def policy_row(kind: str) -> Policy:
+    """The registry row of a policy kind; ConfigError for an unknown one."""
+    if kind not in POLICIES:
+        raise ConfigError(
+            f"invalid value for key 'policy': {kind!r} "
+            f"(choose from {', '.join(POLICY_KINDS)})")
+    return POLICIES[kind]
+
 
 _EPS = 1e-9
 
@@ -213,13 +244,10 @@ def rows_per_refresh(geometry: DramGeometry, retention_ms: float, trefi_ab_ns: f
 
 def refresh_current_for_mode(currents: CurrentParams, refresh_mode: str) -> float:
     """Refresh current draw relevant to a policy kind (0 for no-refresh)."""
-    if refresh_mode == "noref":
+    scope = policy_row(refresh_mode).scope
+    if scope is None:
         return 0.0
-    if refresh_mode in PER_BANK_POLICIES:
-        return currents.i_ref_pb
-    if refresh_mode in ALL_BANK_POLICIES:
-        return currents.i_ref_ab
-    raise ConfigError(f"unknown refresh policy kind: {refresh_mode!r}")
+    return currents.i_ref_pb if scope == "pb" else currents.i_ref_ab
 
 
 def derive_timing(profile: DensityProfile, geometry: DramGeometry,

@@ -58,6 +58,11 @@ def random_command(engine: TimingEngine, rng: random.Random,
         return DramCommand(REFPB, engine.channel_index, ri, bi,
                            subarray=engine.bank_state(ri, bi).ref_sa)
     if refresh_kind == REFAB:
+        # an all-bank refresh needs every bank of the rank closed: close
+        # the first open one rather than try a refresh that cannot issue
+        for b in range(g.banks_per_rank):
+            if engine.bank_state(ri, b).open_row is not None:
+                return DramCommand(PRE, engine.channel_index, ri, b)
         return DramCommand(REFAB, engine.channel_index, ri,
                            subarray=engine.bank_state(ri, 0).ref_sa)
     return None

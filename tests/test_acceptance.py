@@ -15,10 +15,9 @@ from refsim.timing import (
     CurrentParams,
     DensityProfile,
     DramGeometry,
-    RawTimings,
-    SARP_POLICIES,
-    ALL_BANK_POLICIES,
+    POLICIES,
     POLICY_KINDS,
+    RawTimings,
     derive_timing,
     fgr_worst_case_inflation,
     power_overhead_faw,
@@ -76,8 +75,7 @@ def test_criterion_3_serialization_identity(density):
 
 AUDIT_CYCLES = 20_000_000
 ADVERSARIAL = ("darp", "dsarp")
-REFRESH_POLICIES = ("ab", "pb", "elastic", "darp", "sarp-ab", "sarp-pb",
-                    "dsarp", "fgr2x", "fgr4x", "ar")
+REFRESH_POLICIES = tuple(k for k, row in POLICIES.items() if row.scope)
 
 
 def audit_config(policy):
@@ -119,17 +117,15 @@ def test_criterion_5_oracle_equivalence(policy):
     cfg = SimConfig(policy=policy, density=32, geometry=geo, cores=1,
                     measured_cycles=1)
     timing = build_timing(cfg)
-    sarp = policy in SARP_POLICIES
-    if policy == "noref":
-        refresh_kind = None
-    elif policy in ALL_BANK_POLICIES or policy == "ar":
-        refresh_kind = REFAB
-    else:
-        refresh_kind = REFPB
+    row = POLICIES[policy]
+    sarp = row.sarp
+    refresh_kind = {"ab": REFAB, "pb": REFPB, None: None}[row.scope]
     engine = TimingEngine(geo, timing, sarp_enabled=sarp)
     history = random_stimulus(engine, random.Random(17), ORACLE_COMMANDS,
                               refresh_kind)
     assert len(history) == ORACLE_COMMANDS
+    if refresh_kind == REFAB:
+        assert sum(cmd.kind == REFAB for cmd, _ in history) >= 10
     violations = oracle_check(history, geo, timing, sarp_enabled=sarp)
     assert violations == []
 

@@ -118,15 +118,69 @@ def test_latency_hist_dump(conf, tmp_path):
     assert total > 0
 
 
-def test_parallel_jobs_match_serial(conf, tmp_path):
+@pytest.fixture
+def pool_cells(monkeypatch):
+    """The cells a multiprocessing pool was handed, across every main()."""
+    import multiprocessing.pool
+    cells = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def spy(pool, func, iterable, *args, **kwargs):
+        iterable = list(iterable)
+        cells.extend(iterable)
+        return pool_map(pool, func, iterable, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", spy)
+    return cells
+
+
+def test_parallel_jobs_match_serial(conf, tmp_path, pool_cells):
     outs = []
     for jobs in ("1", "2"):
-        out = tmp_path / f"r{jobs}.csv"
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
         rc = main(["--config", str(conf), "--policy", "pb", "--policy", "ab",
-                   "--jobs", jobs, "--out", str(out)])
+                   "--jobs", jobs, "--out", str(out / "r.csv"),
+                   "--dump-cmd-trace", str(out / "cmd.tsv"),
+                   "--dump-refresh-log", str(out / "refresh.csv"),
+                   "--dump-latency-hist", str(out / "lat.csv")])
         assert rc == 0
-        outs.append(out.read_bytes())
+        outs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    # only the --jobs 2 run used the pool, and it ran both cells there
+    assert [cell.policy for cell in pool_cells] == ["pb", "ab"]
+    assert sorted(outs[0]) == [
+        "cmd.tsv.ab-32", "cmd.tsv.pb-32", "lat.csv.ab-32", "lat.csv.pb-32",
+        "r.csv", "r.csv.solo.csv", "refresh.csv.ab-32", "refresh.csv.pb-32"]
     assert outs[0] == outs[1]
+
+
+def test_audit_error_in_worker_is_exit_3(conf, tmp_path, monkeypatch, capsys,
+                                         pool_cells):
+    # workers fork from this process, so they inherit the planted checker
+    import refsim.oracle
+    monkeypatch.setattr(refsim.oracle, "oracle_check",
+                        lambda *args, **kwargs: ["planted violation"])
+    rc = main(["--config", str(conf), "--policy", "pb", "--policy", "ab",
+               "--jobs", "2", "--out", str(tmp_path / "r.csv"),
+               "--dump-cmd-trace", str(tmp_path / "cmd.tsv")])
+    assert rc == 3
+    assert len(pool_cells) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("audit failure: command-history audit failed on "
+                          "channel 0: 1 violations; first: planted violation")
+
+
+@pytest.mark.parametrize("jobs", ("0", "-1"))
+def test_jobs_below_one_is_exit_1(conf, monkeypatch, capsys, jobs):
+    import refsim.experiment
+    started = []
+    monkeypatch.setattr(refsim.experiment, "Simulation",
+                        lambda *args, **kwargs: started.append(args))
+    assert main(["--config", str(conf), "--policy", "pb", "--policy", "ab",
+                 "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and started == []
+    assert err == f"config error: jobs must be >= 1, got {jobs}\n"
 
 
 def test_seed_override_and_determinism(conf, tmp_path):

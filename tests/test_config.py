@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
-from refsim.config import SimConfig, load_config, parse_config, parse_size, parse_workload_spec
+from refsim.config import (
+    SimConfig, WorkloadSpec, load_config, parse_config, parse_size, parse_workload_spec,
+)
 from refsim.errors import ConfigError
+from refsim.timing import CurrentParams, DramGeometry, RawTimings
 
 
 class TestParseSize:
@@ -101,3 +106,53 @@ class TestParseConfig:
             "core.1 = stream footprint=1MiB stride=64",
         ])
         assert cfg.workload_label().startswith("mix:")
+
+    def test_every_field_round_trips(self):
+        """A file that sets every field of each config dataclass to a
+        non-default value parses back to exactly those values."""
+        sections = {
+            "geometry": (DramGeometry, dict(
+                channels=1, ranks_per_channel=4, banks_per_rank=16,
+                subarrays_per_bank=4, rows_per_bank=4096, columns_per_row=64,
+                cacheline_bytes=128)),
+            "timing": (RawTimings, dict(
+                tCK_ns=1.25, tRCD_ns=14.25, tRP_ns=14.5, tCL_ns=14.75,
+                tCWL_ns=11.25, tRAS_ns=35.25, tRRD_ns=6.5, tFAW_ns=31.5,
+                tWTR_ns=8.25, tRTW_ns=9.5, tBURST_cycles=8)),
+            "currents": (CurrentParams, dict(
+                i_act=101.5, i_ref_ab=441.5, i_ref_pb=56.5, i_bg_active=46.5,
+                i_bg_precharged=26.5, i_rd=91.5, i_wr=96.5, vdd=1.35)),
+            "sim": (SimConfig, dict(
+                policy="dsarp", density=16, retention_ms=64.0, cores=4,
+                seed=9, warmup_cycles=10, measured_cycles=20,
+                read_queue_capacity=32, write_queue_capacity=48,
+                low_watermark=16, high_watermark=40)),
+        }
+        spec = WorkloadSpec(kind="stream", footprint=1 << 20, read_fraction=0.5,
+                            intensity=3.0, stride=128, path="core1.trace",
+                            scatter=False)
+        spec_text = ("stream footprint=1MiB read_fraction=0.5 intensity=3 "
+                     "stride=128 path=core1.trace scatter=0")
+        lines = []
+        for section, (_, values) in sections.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {value}" for key, value in values.items()]
+        lines += ["[workload]", f"default = {spec_text}", f"core.1 = {spec_text}"]
+        cfg = parse_config(lines)
+
+        nested = {"geometry", "raw_timings", "currents", "workloads",
+                  "default_workload"}
+        for f in fields(WorkloadSpec):
+            assert getattr(spec, f.name) != getattr(WorkloadSpec(), f.name), f.name
+        assert cfg.default_workload == spec and cfg.workloads == {1: spec}
+        parsed = {"geometry": cfg.geometry, "timing": cfg.raw_timings,
+                  "currents": cfg.currents, "sim": cfg}
+        for section, (cls, values) in sections.items():
+            names = {f.name for f in fields(cls)}
+            if cls is SimConfig:
+                names -= nested
+            assert set(values) == names, section
+            default = cls()
+            for key, value in values.items():
+                assert getattr(default, key) != value, key
+                assert getattr(parsed[section], key) == value, key

@@ -28,6 +28,8 @@ def test_engine_oracle_equivalence_small(refresh_kind, sarp):
     history = random_stimulus(eng, random.Random(42), 3000, refresh_kind)
     violations = oracle_check(history, geo, timing, sarp_enabled=sarp)
     assert violations == []
+    if refresh_kind == REFAB:
+        assert sum(cmd.kind == REFAB for cmd, _ in history) >= 10
 
 
 def test_engine_oracle_equivalence_realistic_timing():

@@ -1,10 +1,11 @@
 import pytest
 
+from refsim import refresh
 from refsim.config import SimConfig, WorkloadSpec
-from refsim.engine import REFAB
+from refsim.engine import REFAB, REFPB
 from refsim.oracle import commands_from_log, oracle_check
 from refsim.simulation import Simulation, build_timing
-from refsim.timing import DramGeometry
+from refsim.timing import FGR_RATE, POLICIES, POLICY_KINDS, DramGeometry, derive_timing
 
 
 def small_config(policy="ab", **over):
@@ -35,11 +36,7 @@ def signature(sim, stats):
              for r in sim.refresh_logs()[0]])
 
 
-ALL_POLICIES = ("noref", "ab", "pb", "elastic", "darp", "sarp-ab", "sarp-pb",
-                "dsarp", "fgr2x", "fgr4x", "ar")
-
-
-@pytest.mark.parametrize("policy", ALL_POLICIES)
+@pytest.mark.parametrize("policy", POLICY_KINDS)
 def test_event_skip_equals_cycle_by_cycle(policy):
     """The ready-time skip must be behaviorally invisible."""
     a = signature(*run(policy, always_scan=False))
@@ -166,3 +163,22 @@ def test_build_timing_uses_fgr_variant():
     base = build_timing(small_config("ab"))
     assert timing.tREFIab == base.tREFIab // 2
     assert timing.tRFCab < base.tRFCab
+
+
+@pytest.mark.parametrize("policy", POLICY_KINDS)
+def test_simulation_follows_policy_registry(policy):
+    """A policy's registry row decides its refresh scope, SARP mode, FGR
+    interval and scheduler class."""
+    row = POLICIES[policy]
+    cfg = small_config(policy)
+    sim = Simulation(cfg)
+    sim.run()
+    kinds = {rec.kind for log in sim.refresh_logs() for rec in log}
+    assert kinds == {"ab": {REFAB}, "pb": {REFPB}, None: set()}[row.scope]
+    assert [eng.sarp_enabled for eng in sim.engines] == [row.sarp]
+    base = derive_timing(cfg.profile(), cfg.geometry, cfg.raw_timings,
+                         cfg.currents, policy)
+    assert sim.timing.tREFIab == base.tREFIab // FGR_RATE[row.fgr]
+    scheduler = getattr(refresh, row.scheduler)
+    assert type(refresh.make_policy(policy, cfg.geometry, sim.timing)) is scheduler
+    assert all(type(ctrl.policy) is scheduler for ctrl in sim.controllers)
