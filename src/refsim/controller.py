@@ -12,7 +12,8 @@ Refresh interplay per cycle (at most one command per channel):
      while draining): row hits oldest-first, then the oldest ready miss's
      activate;
   3. closed-row maintenance: precharge open rows with no pending hits;
-  4. the policy's opportunistic hook (idle-bank or write-drain refreshes).
+  4. the policy's opportunistic hook, if it has one (idle-bank or
+     write-drain refreshes).
 Steps 2 and 3 share one sweep over the banks, which looks up each open
 bank's row hit once.  While the channel's data bus (engine.rw_floor) rules
 out every RD/WR this cycle, the row hits' ready times are not computed:
@@ -116,6 +117,7 @@ class ChannelController:
         self.always_scan = False     # cycle-by-cycle reference (equivalence tests)
         self._policy_wake = 0        # earliest cycle policy.on_cycle must run
         self._watch_demand = policy.watches_demand
+        self._opportunistic = policy.opportunistic   # None: no idle-bus hook
         # per-direction row-hit candidate cache: (version, row, req-or-None)
         self._rd_version = [0] * self.nbanks
         self._wr_version = [0] * self.nbanks
@@ -216,11 +218,12 @@ class ChannelController:
             return True, 0
         if w < wake:
             wake = w
-        w = self.policy.opportunistic(now, self)
-        if w <= now:
-            return True, 0
-        if w < wake:
-            wake = w
+        if self._opportunistic is not None:
+            w = self._opportunistic(now, self)
+            if w <= now:
+                return True, 0
+            if w < wake:
+                wake = w
         return False, wake
 
     def issue_refresh(self, p: PendingRefresh, now: int) -> None:

@@ -18,7 +18,7 @@ the controller itself issues.
 """
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SimulationError
 from .timing import DramGeometry, TimingParams
@@ -46,8 +46,7 @@ def advance_refresh_counters(sa: int, local_row: int, rows: int,
     return sa, local_row
 
 
-@dataclass(frozen=True)
-class DramCommand:
+class DramCommand(NamedTuple):
     kind: str
     channel: int
     rank: int
@@ -58,10 +57,8 @@ class DramCommand:
 
 
 class _Bank:
-    __slots__ = (
-        "open_row", "act_ready", "rw_ready", "pre_ready", "refresh_end",
-        "refresh_subarray", "ref_sa", "ref_row", "last_act", "last_pre",
-    )
+    __slots__ = ("open_row", "act_ready", "rw_ready", "pre_ready", "refresh_end",
+                 "refresh_subarray", "ref_sa", "ref_row")
 
     def __init__(self):
         self.open_row = None
@@ -72,8 +69,6 @@ class _Bank:
         self.refresh_subarray = 0   # valid while refresh_end > now
         self.ref_sa = 0             # device refresh-subarray counter
         self.ref_row = 0            # device local-row counter
-        self.last_act = NEG
-        self.last_pre = NEG
 
 
 class _Rank:
@@ -272,7 +267,6 @@ class TimingEngine:
     def issue_act(self, ri: int, bi: int, row: int, now: int) -> None:
         bank = self.banks[ri * self.n_banks + bi]
         bank.open_row = row
-        bank.last_act = now
         bank.rw_ready = now + self.tRCD
         bank.pre_ready = now + self.tRAS
         if bank.act_ready < now + self.tRC:
@@ -290,7 +284,6 @@ class TimingEngine:
     def issue_pre(self, ri: int, bi: int, now: int) -> None:
         bank = self.banks[ri * self.n_banks + bi]
         bank.open_row = None
-        bank.last_pre = now
         if bank.act_ready < now + self.tRP:
             bank.act_ready = now + self.tRP
         self._busy_dec(self.ranks[ri], now)

@@ -203,7 +203,7 @@ def _dump_cmd_trace(sim: Simulation, cell: SimConfig, path: str, multi: bool):
     merged.sort(key=lambda entry: (entry[0], entry[2]))
     with open(_cell_path(path, cell, multi), "w") as fh:
         for entry in merged:
-            fh.write("\t".join(str(field) for field in entry) + "\n")
+            fh.write("%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n" % entry)
 
 
 def _dump_latency_hist(sim: Simulation, cell: SimConfig, path: str, multi: bool):

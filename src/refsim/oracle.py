@@ -27,24 +27,20 @@ class Violation:
 
 def commands_from_log(log) -> list[tuple[DramCommand, int]]:
     """Convert engine cmd_log tuples into (DramCommand, cycle) pairs."""
-    out = []
-    for cycle, kind, ch, rank, bank, sub, row, col in log:
-        out.append((DramCommand(kind, ch, rank, bank, sub, row, col), cycle))
-    return out
+    return [(DramCommand(kind, ch, rank, bank, sub, row, col), cycle)
+            for cycle, kind, ch, rank, bank, sub, row, col in log]
 
 
 class _BankView:
-    __slots__ = ("events", "last_act", "last_act_row", "last_pre",
-                 "last_rd", "last_wr", "refs")
+    __slots__ = ("events", "last_act", "last_pre", "last_rd", "last_wr", "refs")
 
     def __init__(self):
         self.last_act = None      # cycle of most recent ACT
-        self.last_act_row = None
         self.last_pre = None
         self.last_rd = None
         self.last_wr = None
         self.refs = []            # (issue, end, subarray)
-        self.events = []          # (cycle, kind) of ACT/PRE for open-state
+        self.events = []          # (cycle, kind, row) of ACT/PRE for open-state
 
     def open_row_at(self):
         if not self.events:
@@ -108,10 +104,6 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
         ri = cmd.rank
         rule = None
 
-        refreshing_rank = rank_refreshing_at(ri, t)
-        trrd = timing.tRRD_ref if refreshing_rank else timing.tRRD
-        tfaw = timing.tFAW_ref if refreshing_rank else timing.tFAW
-
         if kind == ACT:
             v = bank_view(ri, cmd.bank)
             open_row = v.open_row_at()
@@ -129,6 +121,10 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
                 rule = "act.tRC"
             if rule is None:
                 acts = rank_acts.get(ri, ())
+                if rank_refreshing_at(ri, t):
+                    trrd, tfaw = timing.tRRD_ref, timing.tFAW_ref
+                else:
+                    trrd, tfaw = timing.tRRD, timing.tFAW
                 if acts and t < acts[-1] + trrd:
                     rule = "act.tRRD"
                 elif len(acts) >= 4 and t < acts[-4] + tfaw:
@@ -136,7 +132,6 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
             if rule is None:
                 v.events.append((t, ACT, cmd.row))
                 v.last_act = t
-                v.last_act_row = cmd.row
                 rank_acts.setdefault(ri, []).append(t)
                 continue
 
@@ -189,7 +184,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
         elif kind == REFPB:
             v = bank_view(ri, cmd.bank)
             open_row = v.open_row_at()
-            if refreshing_rank:
+            if rank_refreshing_at(ri, t):
                 rule = "refpb.overlap"
             elif open_row is not None and not sarp_enabled:
                 rule = "refpb.bank-not-precharged"
@@ -210,7 +205,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
                 continue
 
         elif kind == REFAB:
-            if refreshing_rank:
+            if rank_refreshing_at(ri, t):
                 rule = "refab.refresh-overlap"
             else:
                 for bi in range(nb):

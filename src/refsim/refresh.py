@@ -6,10 +6,14 @@ cycle.  A policy expresses itself through two surfaces:
   * pending        -- committed refreshes the controller must issue next
                       (it precharges blocking rows and stalls new demands
                       to the target scope until the command goes out);
-  * opportunistic  -- invoked only on cycles where no demand command and
-                      no closed-row precharge could issue; used by the
-                      out-of-order policy to refresh idle banks and, during
-                      write drains, to hide refreshes behind the writes.
+  * opportunistic  -- None, or a method invoked only on cycles where no
+                      demand command and no closed-row precharge could
+                      issue; the out-of-order policy's hook refreshes idle
+                      banks and, during write drains, hides refreshes
+                      behind the writes.  It returns a cycle: <= now means
+                      the policy acted this cycle; a future cycle is the
+                      earliest the controller should ask again (BLOCKED
+                      when there is nothing to wait for).
 
 Credit bookkeeping for the out-of-order policy: a per-bank `scheduled`
 counter ticks at the bank's nominal round-robin slots and an `issued`
@@ -18,11 +22,11 @@ refresh credit, bounded to [-8, +8].  Postponing is simply not issuing at
 a slot; serving any owed refresh moves the credit back toward zero.
 """
 
-import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
-from .engine import BLOCKED, REFAB, REFPB, advance_refresh_counters
+from .engine import BLOCKED, REFAB, REFPB
 from .errors import SimulationError
 from .timing import DramGeometry, TimingParams, fgr_timing, policy_row
 
@@ -64,6 +68,8 @@ class RefreshPolicy:
     # on_cycle reads the demand queues: the controller then also runs it on
     # the cycle after any request arrives or issues and after any refresh
     watches_demand = False
+    # the idle-bus hook of the module docstring; None when there is none
+    opportunistic = None
 
     def __init__(self, geometry: DramGeometry, timing: TimingParams, seed: int = 0):
         self.geometry = geometry
@@ -75,14 +81,6 @@ class RefreshPolicy:
 
     def next_event(self, now: int) -> int:
         """Earliest future cycle on_cycle must run again (scheduling hint)."""
-        return BLOCKED
-
-    def opportunistic(self, now: int, ctrl) -> int:
-        """Chance to act on an otherwise idle command bus.
-
-        Returns a cycle: <= now means the policy acted this cycle; a
-        future cycle is the earliest the controller should ask again
-        (BLOCKED when there is nothing to wait for)."""
         return BLOCKED
 
     def on_issued(self, p: PendingRefresh, now: int, ctrl) -> RefreshRecord:
@@ -370,13 +368,11 @@ class AdaptiveRefreshPolicy(RefreshPolicy):
         self.timing_1x = timing
         self.timing_4x = fgr_timing(timing, "4x")
         self.next_boundary = [timing.tREFIab] * geometry.ranks_per_channel
-        self.mode = ["1x"] * geometry.ranks_per_channel
 
     def on_cycle(self, now, ctrl):
         for ri in range(self.geometry.ranks_per_channel):
             while now >= self.next_boundary[ri]:
                 t = self.timing_4x if ctrl.read_count == 0 else self.timing_1x
-                self.mode[ri] = "4x" if t is self.timing_4x else "1x"
                 self.pending.append(PendingRefresh(
                     REFAB, ri, None, "nominal", self.next_boundary[ri],
                     t.tRFCab, t.rows_per_ref))
@@ -427,34 +423,64 @@ def retention_audit(records: list[RefreshRecord], geometry: DramGeometry,
          (rows assumed freshly written at cycle 0; binds on long runs).
     """
     slack = 8 * timing.tREFIab
-    retention = timing.retention_cycles
+    limit = timing.retention_cycles + slack
     nb = geometry.banks_per_rank
     nrows = geometry.rows_per_bank
     violations = []
     max_lateness = 0
 
-    last_row_refresh = {}
+    # (rank, bank) -> [replay pointer, deque of (rows, last refresh cycle)
+    # runs in sweep order from the pointer]; the pointer advances as the
+    # engine's refresh counters do, which is cyclic in the row index
+    banks = {}
     last_cmd = {}
-    sweep = {}     # (rank, bank) -> (subarray, local_row) replay pointer
 
     def touch_rows(ri, bi, rows, cycle):
         key = (ri, bi)
-        sa, lr = sweep.get(key, (0, 0))
-        arr = last_row_refresh.get(key)
-        if arr is None:
-            arr = last_row_refresh[key] = [0] * nrows
-        rps = geometry.rows_per_subarray
-        start = sa * rps + lr
-        for i in range(rows):
-            r = (start + i) % nrows
-            if cycle - arr[r] > retention + slack:
-                violations.append(AuditViolation(
-                    "stale-row", ri, bi,
-                    f"row {r} refreshed {cycle - arr[r]} cycles after previous",
-                    [r]))
-            arr[r] = cycle
-        sweep[key] = advance_refresh_counters(sa, lr, rows, geometry)
+        state = banks.get(key)
+        if state is None:
+            state = banks[key] = [0, deque([(nrows, 0)])]
+        start, runs = state
+        r = start
+        left = min(rows, nrows)     # rows beyond one sweep were just refreshed
+        while left:
+            n, last = runs.popleft()
+            if n > left:
+                runs.appendleft((n - left, last))
+                n = left
+            if cycle - last > limit:
+                for i in range(r, r + n):
+                    row = i % nrows
+                    violations.append(AuditViolation(
+                        "stale-row", ri, bi,
+                        f"row {row} refreshed {cycle - last} cycles after previous",
+                        [row]))
+            r += n
+            left -= n
+        if rows:
+            runs.append((min(rows, nrows), cycle))
+        state[0] = (start + rows) % nrows
         last_cmd[key] = cycle
+
+    def stale_rows(state, cutoff):
+        """Count and lowest indices of the rows last refreshed at or
+        before cutoff."""
+        r, runs = state
+        count = 0
+        spans = []
+        for n, last in runs:
+            if last <= cutoff:
+                count += n
+                if r + n > nrows:       # the run wraps past the last row
+                    spans += [(r, nrows), (0, r + n - nrows)]
+                else:
+                    spans.append((r, r + n))
+            r = (r + n) % nrows
+        spans.sort()
+        lowest = []
+        for a, b in spans:
+            lowest.extend(range(a, min(b, a + max_reported_rows - len(lowest))))
+        return count, lowest
 
     for rec in records:
         lateness = rec.cycle - rec.nominal
@@ -472,27 +498,23 @@ def retention_audit(records: list[RefreshRecord], geometry: DramGeometry,
 
     # per-bank liveness and end-of-run staleness
     period = timing.tREFIab
+    untouched = (0, [(nrows, 0)])
     for ri in range(geometry.ranks_per_channel):
         for bi in range(nb):
             last = last_cmd.get((ri, bi), 0)
+            state = banks.get((ri, bi))
             if end_cycle - last > period + slack:
-                arr = last_row_refresh.get((ri, bi), [0] * nrows)
-                threshold = end_cycle - period - slack
-                stale = [r for r in range(nrows) if arr[r] <= threshold]
+                count, rows = stale_rows(state or untouched,
+                                         end_cycle - period - slack)
                 violations.append(AuditViolation(
                     "starved-bank", ri, bi,
                     f"no refresh for {end_cycle - last} cycles "
-                    f"({len(stale)} rows at risk)",
-                    stale[:max_reported_rows]))
-            else:
-                arr = last_row_refresh.get((ri, bi))
-                # the per-row scan only when the oldest row is over the limit
-                if arr is not None and end_cycle - min(arr) > retention + slack:
-                    stale = [r for r in range(nrows)
-                             if end_cycle - arr[r] > retention + slack]
+                    f"({count} rows at risk)", rows))
+            elif state is not None:
+                count, rows = stale_rows(state, end_cycle - limit - 1)
+                if count:
                     violations.append(AuditViolation(
                         "stale-row", ri, bi,
-                        f"{len(stale)} rows beyond retention at end of run",
-                        stale[:max_reported_rows]))
+                        f"{count} rows beyond retention at end of run", rows))
 
     return AuditReport(violations, max_lateness)

@@ -181,6 +181,7 @@ class Core:
         self.index = index
         self.trace = trace
         self.addr_map = addr_map
+        self.rows_per_subarray = addr_map.geometry.rows_per_subarray
         self.controllers = controllers
         self.clock_ratio = clock_ratio
         self.id_counter = id_counter
@@ -200,7 +201,7 @@ class Core:
             return False
         self.cur_bubbles = rec.bubbles
         ch, rank, bank, row, col = self.addr_map.decode(rec.address)
-        sub = row // self.addr_map.geometry.rows_per_subarray
+        sub = row // self.rows_per_subarray
         req = MemRequest(next(self.id_counter), self.index, rec.is_write,
                          ch, rank, bank, sub, row, col, now)
         req.core_ref = self

@@ -4,7 +4,9 @@ histories."""
 
 import random
 
-from refsim.engine import ACT, PRE, RD, WR, REFAB, REFPB, DramCommand, TimingEngine
+from refsim.engine import (ACT, PRE, RD, WR, REFAB, REFPB, DramCommand,
+                           TimingEngine, advance_refresh_counters)
+from refsim.refresh import AuditReport, AuditViolation
 from refsim.timing import DramGeometry, TimingParams
 
 
@@ -156,3 +158,59 @@ def planted_fault_histories():
         [(DramCommand(A, 0, 0, 0, row=3), 0),
          (DramCommand(REFPB, 0, 0, 0, subarray=0), 30)], sarp=True)
     return cases
+
+
+def reference_retention_audit(records, geometry, timing, end_cycle,
+                              max_reported_rows=16) -> AuditReport:
+    """retention_audit written row by row: one last-refresh cycle per row of
+    every touched bank, replayed from the engine's refresh counters."""
+    slack = 8 * timing.tREFIab
+    limit = timing.retention_cycles + slack
+    nrows = geometry.rows_per_bank
+    violations = []
+    max_lateness = 0
+    last_row, last_cmd, sweep = {}, {}, {}
+
+    def touch(ri, bi, rows, cycle):
+        sa, lr = sweep.get((ri, bi), (0, 0))
+        arr = last_row.setdefault((ri, bi), [0] * nrows)
+        start = sa * geometry.rows_per_subarray + lr
+        for i in range(rows):
+            r = (start + i) % nrows
+            if cycle - arr[r] > limit:
+                violations.append(AuditViolation(
+                    "stale-row", ri, bi,
+                    f"row {r} refreshed {cycle - arr[r]} cycles after previous", [r]))
+            arr[r] = cycle
+        sweep[(ri, bi)] = advance_refresh_counters(sa, lr, rows, geometry)
+        last_cmd[(ri, bi)] = cycle
+
+    for rec in records:
+        max_lateness = max(max_lateness, rec.cycle - rec.nominal)
+        if rec.cycle - rec.nominal > slack:
+            violations.append(AuditViolation(
+                "late-refresh", rec.rank, rec.bank,
+                f"command due at {rec.nominal} issued at {rec.cycle}"))
+        banks = range(geometry.banks_per_rank) if rec.kind == REFAB else [rec.bank]
+        for bi in banks:
+            touch(rec.rank, bi, rec.rows, rec.cycle)
+
+    period = timing.tREFIab
+    for ri in range(geometry.ranks_per_channel):
+        for bi in range(geometry.banks_per_rank):
+            last = last_cmd.get((ri, bi), 0)
+            arr = last_row.get((ri, bi))
+            if end_cycle - last > period + slack:
+                arr = arr or [0] * nrows
+                stale = [r for r in range(nrows) if arr[r] <= end_cycle - period - slack]
+                violations.append(AuditViolation(
+                    "starved-bank", ri, bi, f"no refresh for {end_cycle - last} "
+                    f"cycles ({len(stale)} rows at risk)", stale[:max_reported_rows]))
+            elif arr is not None:
+                stale = [r for r in range(nrows) if end_cycle - arr[r] > limit]
+                if stale:
+                    violations.append(AuditViolation(
+                        "stale-row", ri, bi,
+                        f"{len(stale)} rows beyond retention at end of run",
+                        stale[:max_reported_rows]))
+    return AuditReport(violations, max_lateness)

@@ -86,6 +86,33 @@ def test_cmd_trace_dump_format(conf, tmp_path):
     assert first[1] in ("ACT", "PRE", "RD", "WR", "REFab", "REFpb")
 
 
+def test_cmd_trace_dump_orders_channels_by_cycle(tmp_path, monkeypatch):
+    """On two channels the dump is every channel's command log, merged by
+    (cycle, channel), one tab-separated line per command."""
+    import refsim.experiment
+    path = tmp_path / "sim.conf"
+    path.write_text(CONF.replace("channels = 1", "channels = 2"))
+    logs = []
+    dump = refsim.experiment._dump_cmd_trace
+
+    def spy(sim, *args):
+        logs.extend(list(log) for log in sim.command_logs())
+        return dump(sim, *args)
+
+    monkeypatch.setattr(refsim.experiment, "_dump_cmd_trace", spy)
+    trace = tmp_path / "cmds.tsv"
+    rc = main(["--config", str(path), "--policy", "pb",
+               "--out", str(tmp_path / "r.csv"), "--dump-cmd-trace", str(trace)])
+    assert rc == 0
+    assert len(logs) == 2 and all(logs)
+    merged = sorted(logs[0] + logs[1], key=lambda e: (e[0], e[2]))
+    assert trace.read_bytes() == "".join(
+        "\t".join(map(str, e)) + "\n" for e in merged).encode()
+    # the channels interleave, so the merge order is what the file shows
+    channels = [e[2] for e in merged]
+    assert channels != sorted(channels)
+
+
 def test_cmd_trace_dump_replays_clean_through_oracle(conf, tmp_path):
     from refsim.config import load_config
     from refsim.engine import DramCommand

@@ -120,3 +120,18 @@ def test_unsorted_history_rejected():
     cmds = [(DramCommand(REFPB, 0, 0, 1), 10), (DramCommand(REFPB, 0, 0, 5), 3)]
     with pytest.raises(ValueError):
         oracle_check(cmds, small_geometry(), small_timing())
+
+
+def test_dram_command_is_an_immutable_record():
+    cmd = DramCommand(RD, 1, 0, 3, row=7, column=2)
+    assert cmd == DramCommand(RD, 1, 0, 3, 0, 7, 2)
+    assert DramCommand(kind=REFAB, channel=0, rank=1) == DramCommand(REFAB, 0, 1)
+    assert (cmd.kind, cmd.channel, cmd.rank, cmd.bank, cmd.subarray,
+            cmd.row, cmd.column) == (RD, 1, 0, 3, 0, 7, 2)
+    pre = DramCommand(PRE, 0, 1)
+    assert (pre.bank, pre.subarray, pre.row, pre.column) == (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        cmd.row = 8
+    violation = oracle_check([(cmd, 5)], small_geometry(), small_timing())[0]
+    assert str(violation) == "[0] cycle 5: RD violates rw.no-open-row"
+

@@ -11,7 +11,7 @@ from refsim.refresh import (
     warp_select_bank,
 )
 
-from helpers import small_geometry, small_timing
+from helpers import reference_retention_audit, small_geometry, small_timing
 
 
 class FakeCtrl:
@@ -358,3 +358,68 @@ class TestRetentionAudit:
         timing = small_timing()
         report = retention_audit([], geo, timing, 10 ** 6)
         assert not report.ok
+
+
+def random_refresh_log(rng):
+    """A random refresh log and the system it runs on: 1-2 ranks, 1-4 banks,
+    8-64 rows, commands of up to 70 rows, retention that can be shorter
+    than tREFIab, and records that can arrive out of cycle order."""
+    geo = small_geometry(ranks_per_channel=rng.randint(1, 2),
+                         banks_per_rank=rng.choice((1, 2, 4)),
+                         rows_per_bank=rng.choice((8, 16, 32, 64)),
+                         subarrays_per_bank=rng.choice((1, 2, 8)))
+    trefi = rng.randint(5, 200)
+    timing = small_timing(tREFIab=trefi, tREFIpb=max(1, trefi // 8),
+                          retention_ms=rng.randint(1, 2 * trefi) / 1e6)
+    banks = rng.sample(range(geo.banks_per_rank), rng.randint(1, geo.banks_per_rank))
+    span = rng.randint(50, 3000) if rng.random() < 0.5 else rng.randint(1, 9 * trefi)
+    cycles = sorted(rng.randrange(span) for _ in range(rng.randint(0, 60)))
+    if rng.random() < 0.3:
+        rng.shuffle(cycles)
+    records = []
+    for c in cycles:
+        rank = rng.randrange(geo.ranks_per_channel)
+        rows = rng.randint(0, 70) if rng.random() < 0.2 else rng.randint(1, 8)
+        nominal = c - rng.randint(-20, 10 * trefi)
+        if rng.random() < 0.15:
+            records.append(RefreshRecord(c, REFAB, rank, -1, 0, "nominal", rows, 8, nominal))
+        else:
+            records.append(RefreshRecord(c, REFPB, rank, rng.choice(banks), 0,
+                                         "nominal", rows, 8, nominal))
+    end = max(cycles, default=0) + rng.randint(0, rng.choice((1, 12)) * trefi)
+    return records, geo, timing, end
+
+
+def test_retention_audit_equals_row_by_row_reference():
+    rng = random.Random(4242)
+    seen = {"rows>bank": 0, "untouched": 0, "out-of-order": 0,
+            "wrapped-report": 0, "stale-row": 0, "starved-bank": 0}
+    for _ in range(400):
+        records, geo, timing, end = random_refresh_log(rng)
+        max_rows = rng.choice((1, 3, 16))
+        got = retention_audit(records, geo, timing, end, max_rows)
+        want = reference_retention_audit(records, geo, timing, end, max_rows)
+        assert got.max_lateness == want.max_lateness
+        assert [(v.kind, v.rank, v.bank, v.detail, v.rows) for v in got.violations] \
+            == [(v.kind, v.rank, v.bank, v.detail, v.rows) for v in want.violations]
+        # the edge cases this log exercised
+        nrows = geo.rows_per_bank
+        seen["rows>bank"] += any(r.rows > nrows for r in records)
+        seen["out-of-order"] += any(a.cycle > b.cycle for a, b in zip(records, records[1:]))
+        # a bank with no record that is not yet starved but whose rows,
+        # had they been tracked from cycle 0, would be beyond retention
+        touched = {(r.rank, b) for r in records for b in range(geo.banks_per_rank)
+                   if r.bank in (b, -1)}
+        slack = 8 * timing.tREFIab
+        seen["untouched"] += (len(touched) < geo.ranks_per_channel * geo.banks_per_rank
+                              and timing.retention_cycles + slack < end
+                              <= timing.tREFIab + slack)
+        for v in want.violations:
+            seen[v.kind] = seen.get(v.kind, 0) + 1
+            # rows on both sides of the replay pointer: sweep order differs
+            pointer = sum(r.rows for r in records
+                          if r.rank == v.rank and r.bank in (v.bank, -1)) % nrows
+            seen["wrapped-report"] += (min(v.rows, default=nrows) < pointer
+                                       <= max(v.rows, default=-1))
+    assert all(seen.values()), seen
+
