@@ -48,10 +48,6 @@ class WorkloadSpec:
             return f"stream:s{self.stride}"
         return f"random:i{self.intensity:g}:r{self.read_fraction:g}"
 
-    def key(self) -> tuple:
-        return (self.kind, self.footprint, self.read_fraction,
-                self.intensity, self.stride, self.path)
-
 
 def parse_workload_spec(text: str) -> WorkloadSpec:
     parts = text.split()

@@ -14,10 +14,12 @@ Refresh interplay per cycle (at most one command per channel):
   3. closed-row maintenance: precharge open rows with no pending hits;
   4. the policy's opportunistic hook, if it has one (idle-bank or
      write-drain refreshes).
-Steps 2 and 3 share one sweep over the banks, which looks up each open
-bank's row hit once.  While the channel's data bus (engine.rw_floor) rules
-out every RD/WR this cycle, the row hits' ready times are not computed:
-the floor itself is a lower bound on the cycle the first of them can go.
+Steps 2 and 3 share one sweep over the banks, which scans each open bank's
+queue once per pass for its first request to the open row (no cache: a
+bank's queue holds a few requests).  While the channel's data bus
+(engine.rw_floor) rules out every RD/WR this cycle, the row hits' ready
+times are not computed: the floor itself is a lower bound on the cycle the
+first of them can go.
 
 Scheduling passes are skipped between the minimum ready cycle reported by
 the timing engine and the next state event (request arrival, refresh end,
@@ -43,19 +45,17 @@ _req_id = operator.attrgetter("id")
 
 
 class MemRequest:
-    __slots__ = ("id", "core", "is_write", "channel", "rank", "bank", "subarray",
-                 "row", "column", "arrival_cycle", "completion_cycle",
-                 "core_ref", "window_entry", "conflict_counted")
+    __slots__ = ("id", "is_write", "channel", "rank", "bank", "row", "column",
+                 "arrival_cycle", "completion_cycle", "core_ref", "window_entry",
+                 "conflict_counted")
 
-    def __init__(self, req_id, core, is_write, channel, rank, bank, subarray,
-                 row, column, arrival_cycle):
+    def __init__(self, req_id, is_write, channel, rank, bank, row, column,
+                 arrival_cycle):
         self.id = req_id
-        self.core = core
         self.is_write = is_write
         self.channel = channel
         self.rank = rank
         self.bank = bank
-        self.subarray = subarray
         self.row = row
         self.column = column
         self.arrival_cycle = arrival_cycle
@@ -85,7 +85,6 @@ class ChannelStats:
         self.subarray_conflicts = 0
         self.sarp_parallel_accesses = 0
         self.writeback_cycles = 0
-        self.writeback_episodes = 0
 
 
 class ChannelController:
@@ -96,7 +95,6 @@ class ChannelController:
             raise ConfigError("watermarks must satisfy 0 <= low < high <= capacity")
         self.engine = engine
         self.policy = policy
-        self.geometry = engine.geometry
         self.read_capacity = read_capacity
         self.write_capacity = write_capacity
         self.low_watermark = low_watermark
@@ -118,11 +116,6 @@ class ChannelController:
         self._policy_wake = 0        # earliest cycle policy.on_cycle must run
         self._watch_demand = policy.watches_demand
         self._opportunistic = policy.opportunistic   # None: no idle-bus hook
-        # per-direction row-hit candidate cache: (version, row, req-or-None)
-        self._rd_version = [0] * self.nbanks
-        self._wr_version = [0] * self.nbanks
-        self._rd_hit = [(-1, -1, None)] * self.nbanks
-        self._wr_hit = [(-1, -1, None)] * self.nbanks
 
     # -- request intake --
 
@@ -133,19 +126,16 @@ class ChannelController:
             if self.write_count >= self.write_capacity:
                 return False
             self.bank_writes[idx].append(req)
-            self._wr_version[idx] += 1
             self.write_count += 1
             # fire-and-forget: a buffered write is complete for the issuer
             req.completion_cycle = req.arrival_cycle
             self.stats.completed_writes += 1
-            if not self.writeback_active and self.write_count >= self.high_watermark:
+            if self.write_count >= self.high_watermark:
                 self.writeback_active = True
-                self.stats.writeback_episodes += 1
         else:
             if self.read_count >= self.read_capacity:
                 return False
             self.bank_reads[idx].append(req)
-            self._rd_version[idx] += 1
             self.read_count += 1
         self.demand_counts[idx] += 1
         self.rank_demand[req.rank] += 1
@@ -283,10 +273,6 @@ class ChannelController:
         banks = eng.banks
         nb = self.nb
         wake = BLOCKED
-        if is_write:
-            versions, hit_cache = self._wr_version, self._wr_hit
-        else:
-            versions, hit_cache = self._rd_version, self._rd_hit
 
         hits = []
         acts = []
@@ -298,17 +284,10 @@ class ChannelController:
             row = bank.open_row
             if row is not None:
                 req = None
-                if q:
-                    ver = versions[idx]
-                    cached = hit_cache[idx]
-                    if cached[0] == ver and cached[1] == row:
-                        req = cached[2]
-                    else:
-                        for cand in q:
-                            if cand.row == row:
-                                req = cand
-                                break
-                        hit_cache[idx] = (ver, row, req)
+                for cand in q:
+                    if cand.row == row:
+                        req = cand
+                        break
                 if req is None:
                     if pre_idx < 0:
                         r = bank.pre_ready
@@ -325,7 +304,7 @@ class ChannelController:
             if bank.refresh_end > now:
                 if not sarp:
                     continue
-                if req.subarray == bank.refresh_subarray:
+                if req.row // eng.rows_per_sub == bank.refresh_subarray:
                     if not req.conflict_counted:
                         req.conflict_counted = True
                         self.stats.subarray_conflicts += 1
@@ -371,12 +350,10 @@ class ChannelController:
         if is_write:
             eng.issue_wr(req.rank, req.bank, req.column, now)
             self.bank_writes[idx].remove(req)
-            self._wr_version[idx] += 1
             self.write_count -= 1
         else:
             done = eng.issue_rd(req.rank, req.bank, req.column, now)
             self.bank_reads[idx].remove(req)
-            self._rd_version[idx] += 1
             self.read_count -= 1
             heapq.heappush(self.returns, (done, req.id, req))
         self.demand_counts[idx] -= 1

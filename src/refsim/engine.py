@@ -2,10 +2,10 @@
 
 One engine instance models one channel: bank/rank state machines, the
 rolling four-activate window, bus turnaround, and refresh occupancy.  The
-*_ready_at methods are the engine's one encoding of the DDR rules; the
-controller drives it through them and the issue_* methods (hot path,
-integer arguments, no allocation).  ready_at/issue take a DramCommand and
-dispatch to the same methods.
+*_ready_at methods, and for PRE an open bank's pre_ready, are the engine's
+one encoding of the DDR rules; the controller drives it through them and
+the issue_* methods (hot path, integer arguments, no allocation).
+ready_at/issue take a DramCommand and dispatch to the same methods.
 
 With subarray-parallel mode enabled (SARP-style policies) a refreshing bank
 still accepts activates to subarrays other than the one being refreshed,
@@ -103,11 +103,6 @@ class TimingEngine:
         self._end_heap = []         # (end_cycle, rank_index, n_banks)
         self.next_end = 1 << 62
         self.cmd_log = None         # list of tuples when tracing enabled
-        self.set_timing(timing)
-        self.reset_stats(0)
-
-    def set_timing(self, timing: TimingParams) -> None:
-        self.timing = timing
         self.tRCD = timing.tRCD
         self.tRP = timing.tRP
         self.tCL = timing.tCL
@@ -124,6 +119,7 @@ class TimingEngine:
         self.tFAW_ref = timing.tFAW_ref
         self.tRRD_ref = timing.tRRD_ref
         self.rows_per_ref = timing.rows_per_ref
+        self.reset_stats(0)
 
     def reset_stats(self, now: int) -> None:
         self.n_act = 0
@@ -229,12 +225,6 @@ class TimingEngine:
                 t = bank.refresh_end
         v = self.rw_floor(is_write)
         return v if v > t else t
-
-    def pre_ready_at(self, ri: int, bi: int) -> int:
-        bank = self.banks[ri * self.n_banks + bi]
-        if bank.open_row is None:
-            return BLOCKED
-        return bank.pre_ready
 
     def refpb_ready_at(self, ri: int, bi: int, now: int) -> int:
         rank = self.ranks[ri]
@@ -370,7 +360,8 @@ class TimingEngine:
         if kind == ACT:
             return self.act_ready_at(cmd.rank, cmd.bank, cmd.row, now)
         if kind == PRE:
-            return self.pre_ready_at(cmd.rank, cmd.bank)
+            bank = self.banks[cmd.rank * self.n_banks + cmd.bank]
+            return BLOCKED if bank.open_row is None else bank.pre_ready
         if kind in (RD, WR):
             return self.rw_ready_at(cmd.rank, cmd.bank, cmd.row, now, kind == WR)
         if kind == REFPB:
@@ -404,9 +395,6 @@ class TimingEngine:
 
     def bank_state(self, ri: int, bi: int) -> _Bank:
         return self.banks[ri * self.n_banks + bi]
-
-    def bank_refreshing(self, ri: int, bi: int, now: int) -> bool:
-        return self.banks[ri * self.n_banks + bi].refresh_end > now
 
     def rank_refreshing(self, ri: int, now: int) -> bool:
         return self.ranks[ri].refresh_until > now

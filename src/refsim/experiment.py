@@ -76,7 +76,7 @@ def run_cell(config: SimConfig, solo_cache: dict | None = None,
     solo_rows = []
     for core_index in range(config.cores):
         spec = config.workload_for(core_index)
-        key = (config.density, core_index, spec.key())
+        key = (config.density, core_index, spec)
         if key not in solo_cache:
             solo_sim = Simulation(solo_config, core_indices=[core_index])
             solo_cache[key] = solo_sim.run().ipc(0)

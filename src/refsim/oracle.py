@@ -1,13 +1,14 @@
 """Stateless re-validation of a command history.
 
-oracle_check rebuilds no engine state: each command is validated against
-the raw prefix of the history (organized into per-bank/per-rank/channel
-views purely for scan efficiency).  It exists to cross-check the
+oracle_check shares no rule code or state with the engine: it keeps only
+what its rules read of the earlier history (each bank's open row, last
+command cycles and refreshes; each rank's last four activates and its
+refreshes; the channel's last read and write).  It exists to cross-check the
 incremental constraint encodings in the timing engine, and to validate
 command traces dumped from full runs.
 """
 
-import bisect
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .engine import ACT, PRE, RD, WR, REFAB, REFPB, DramCommand
@@ -32,40 +33,30 @@ def commands_from_log(log) -> list[tuple[DramCommand, int]]:
 
 
 class _BankView:
-    __slots__ = ("events", "last_act", "last_pre", "last_rd", "last_wr", "refs")
+    __slots__ = ("open_row", "last_act", "last_pre", "last_rd", "last_wr", "refs")
 
     def __init__(self):
+        self.open_row = None      # row of the last ACT, until a PRE
         self.last_act = None      # cycle of most recent ACT
         self.last_pre = None
         self.last_rd = None
         self.last_wr = None
         self.refs = []            # (issue, end, subarray)
-        self.events = []          # (cycle, kind, row) of ACT/PRE for open-state
-
-    def open_row_at(self):
-        if not self.events:
-            return None
-        cycle, kind, row = self.events[-1]
-        return row if kind == ACT else None
 
 
 def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
-                 sarp_enabled: bool = False,
-                 refab_cycles: int | None = None,
-                 refpb_cycles: int | None = None) -> list[Violation]:
+                 sarp_enabled: bool = False) -> list[Violation]:
     """Re-validate a (cmd, cycle) history; returns every violation found.
 
     The history must be sorted by cycle.  At most one violation is
     reported per command (the first constraint it breaks).
     """
-    refab_cycles = timing.tRFCab if refab_cycles is None else refab_cycles
-    refpb_cycles = timing.tRFCpb if refpb_cycles is None else refpb_cycles
-    max_ref = max(refab_cycles, refpb_cycles)
+    max_ref = max(timing.tRFCab, timing.tRFCpb)
     rps = geometry.rows_per_subarray
     nb = geometry.banks_per_rank
 
     banks = {}
-    rank_acts = {}      # rank -> list of ACT cycles
+    rank_acts = defaultdict(lambda: deque(maxlen=4))   # rank -> last four ACTs
     rank_refs = {}      # rank -> list of (issue, end, bank|None, subarray)
     last_rd_ch = None
     last_wr_ch = None
@@ -106,7 +97,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
 
         if kind == ACT:
             v = bank_view(ri, cmd.bank)
-            open_row = v.open_row_at()
+            open_row = v.open_row
             ref_sub = bank_ref_at(v, t)
             if open_row is not None:
                 rule = "act.bank-busy"
@@ -130,14 +121,14 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
                 elif len(acts) >= 4 and t < acts[-4] + tfaw:
                     rule = "act.tFAW"
             if rule is None:
-                v.events.append((t, ACT, cmd.row))
+                v.open_row = cmd.row
                 v.last_act = t
-                rank_acts.setdefault(ri, []).append(t)
+                rank_acts[ri].append(t)
                 continue
 
         elif kind in (RD, WR):
             v = bank_view(ri, cmd.bank)
-            open_row = v.open_row_at()
+            open_row = v.open_row
             if bank_ref_at(v, t) is not None and not sarp_enabled:
                 rule = "rw.bank-refreshing"
             elif open_row is None:
@@ -168,7 +159,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
 
         elif kind == PRE:
             v = bank_view(ri, cmd.bank)
-            if v.open_row_at() is None:
+            if v.open_row is None:
                 rule = "pre.no-open-row"
             elif t < v.last_act + timing.tRAS:
                 rule = "pre.tRAS"
@@ -177,13 +168,13 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
             elif v.last_wr is not None and t < v.last_wr + timing.tCWL + timing.tBURST:
                 rule = "pre.write-burst"
             if rule is None:
-                v.events.append((t, PRE, None))
+                v.open_row = None
                 v.last_pre = t
                 continue
 
         elif kind == REFPB:
             v = bank_view(ri, cmd.bank)
-            open_row = v.open_row_at()
+            open_row = v.open_row
             if rank_refreshing_at(ri, t):
                 rule = "refpb.overlap"
             elif open_row is not None and not sarp_enabled:
@@ -199,7 +190,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
                 if acts and t < acts[-1] + timing.tRRD:
                     rule = "refpb.tRRD"
             if rule is None:
-                end = t + refpb_cycles
+                end = t + timing.tRFCpb
                 v.refs.append((t, end, cmd.subarray))
                 rank_refs.setdefault(ri, []).append((t, end, cmd.bank, cmd.subarray))
                 continue
@@ -210,7 +201,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
             else:
                 for bi in range(nb):
                     v = bank_view(ri, bi)
-                    if v.open_row_at() is not None:
+                    if v.open_row is not None:
                         rule = "refab.bank-not-precharged"
                         break
                     if v.last_pre is not None and t < v.last_pre + timing.tRP:
@@ -224,7 +215,7 @@ def oracle_check(history, geometry: DramGeometry, timing: TimingParams,
                     if acts and t < acts[-1] + timing.tRRD:
                         rule = "refab.tRRD"
             if rule is None:
-                end = t + refab_cycles
+                end = t + timing.tRFCab
                 for bi in range(nb):
                     bank_view(ri, bi).refs.append((t, end, cmd.subarray))
                 rank_refs.setdefault(ri, []).append((t, end, None, cmd.subarray))

@@ -83,6 +83,9 @@ class RefreshPolicy:
         """Earliest future cycle on_cycle must run again (scheduling hint)."""
         return BLOCKED
 
+    def _has_pending(self, ri: int) -> bool:
+        return any(p.rank == ri for p in self.pending)
+
     def on_issued(self, p: PendingRefresh, now: int, ctrl) -> RefreshRecord:
         """Bookkeeping when a committed refresh goes out."""
         self.pending.remove(p)
@@ -170,7 +173,6 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
         self.scheduled = [[0] * nb for _ in range(nr)]
         self.issued = [[0] * nb for _ in range(nr)]
         self.rng = random.Random(seed)
-        self._pending_scope = set()   # (rank, bank) with a committed refresh
 
     def credit(self, ri: int, bi: int) -> int:
         return self.issued[ri][bi] - self.scheduled[ri][bi]
@@ -180,10 +182,10 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
         return (k * self.nb + bi + 1) * self.timing.tREFIpb
 
     def _commit(self, ri, bi, category, nominal):
-        self.pending.append(PendingRefresh(
-            REFPB, ri, bi, category, nominal,
-            self.timing.tRFCpb, self.timing.rows_per_ref))
-        self._pending_scope.add((ri, bi))
+        p = PendingRefresh(REFPB, ri, bi, category, nominal,
+                           self.timing.tRFCpb, self.timing.rows_per_ref)
+        self.pending.append(p)
+        return p
 
     def on_cycle(self, now, ctrl):
         trefi = self.timing.tREFIpb
@@ -198,7 +200,7 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
                 if credit < CREDIT_MIN:
                     raise SimulationError(
                         f"refresh credit below {CREDIT_MIN} on rank {ri} bank {bank}")
-                if (ri, bank) in self._pending_scope:
+                if any(p.rank == ri and p.bank == bank for p in self.pending):
                     continue                      # a refresh is already on its way
                 if credit == CREDIT_MIN:
                     self._commit(ri, bank, "forced",
@@ -219,9 +221,7 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
         eng = ctrl.engine
         fired = False
         for ri in range(self.geometry.ranks_per_channel):
-            if eng.rank_refreshing(ri, now):
-                continue
-            if any(p.rank == ri for p in self.pending):
+            if eng.rank_refreshing(ri, now) or self._has_pending(ri):
                 continue
             counts = [ctrl.bank_demand_count(ri, b) for b in range(self.nb)]
             credits = [self.credit(ri, b) for b in range(self.nb)]
@@ -237,7 +237,7 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
         candidates = []
         wake = BLOCKED
         for ri in range(self.geometry.ranks_per_channel):
-            if any(p.rank == ri for p in self.pending):
+            if self._has_pending(ri):
                 continue
             for b in range(self.nb):
                 if (ctrl.bank_demand_count(ri, b) == 0
@@ -250,12 +250,8 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
         if not candidates:
             return wake
         ri, bank = candidates[self.rng.randrange(len(candidates))]
-        p = PendingRefresh(REFPB, ri, bank, "pull",
-                           self._nominal_of(ri, bank, self.issued[ri][bank]),
-                           self.timing.tRFCpb, self.timing.rows_per_ref)
-        self.pending.append(p)
-        self._pending_scope.add((ri, bank))
-        ctrl.issue_refresh(p, now)
+        ctrl.issue_refresh(self._commit(
+            ri, bank, "pull", self._nominal_of(ri, bank, self.issued[ri][bank])), now)
         return now
 
     def on_issued(self, p, now, ctrl):
@@ -272,7 +268,6 @@ class OutOfOrderPerBankPolicy(RefreshPolicy):
             # opportunistic: serving an owed refresh vs. pulling one in early
             category = "postponed" if credit_before < 0 else "pulled"
         self.pending.remove(p)
-        self._pending_scope.discard((ri, bi))
         return RefreshRecord(now, REFPB, ri, bi, credit_after, category,
                              p.rows, p.cycles, p.nominal)
 
@@ -349,9 +344,6 @@ class ElasticAllBankPolicy(RefreshPolicy):
                 if release < wake:
                     wake = release
         return wake
-
-    def _has_pending(self, ri):
-        return any(p.rank == ri for p in self.pending)
 
     def on_issued(self, p, now, ctrl):
         self.pending.remove(p)

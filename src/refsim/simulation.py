@@ -123,8 +123,8 @@ class Simulation:
             stream = make_trace_stream(spec, seed=config.seed * 100003 + idx,
                                        base=idx * slice_bytes,
                                        total_address_bits=self.addr_map.total_bits)
-            self.cores.append(Core(idx, stream, self.addr_map,
-                                   self.controllers, CORE_CLOCK_RATIO, id_counter))
+            self.cores.append(Core(stream, self.addr_map, self.controllers,
+                                   CORE_CLOCK_RATIO, id_counter))
         self.now = 0
 
     def _loop(self, cycles: int) -> None:

@@ -8,7 +8,7 @@ before re-rounding.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -317,22 +317,15 @@ def fgr_timing(base: TimingParams, mode: str) -> TimingParams:
     if mode == "1x":
         return base
     rate = FGR_RATE[mode]
-    divisor = FGR_TRFC_DIVISOR[mode]
-    trfc_ns = base.tRFCab_ns / divisor
-    return TimingParams(
-        tCK_ns=base.tCK_ns,
-        tRCD=base.tRCD, tRP=base.tRP, tCL=base.tCL, tCWL=base.tCWL,
-        tRAS=base.tRAS, tRC=base.tRC, tRRD=base.tRRD, tFAW=base.tFAW,
-        tWTR=base.tWTR, tRTW=base.tRTW, tBURST=base.tBURST,
+    trfc_ns = base.tRFCab_ns / FGR_TRFC_DIVISOR[mode]
+    trefi = max(1, base.tREFIab // rate)
+    return replace(
+        base,
         tRFCab=ns_to_cycles(trfc_ns, base.tCK_ns),
-        tRFCpb=base.tRFCpb,
-        tREFIab=max(1, base.tREFIab // rate),
-        tREFIpb=min(base.tREFIpb, max(1, base.tREFIab // rate)),
-        tFAW_ref=base.tFAW_ref, tRRD_ref=base.tRRD_ref,
+        tREFIab=trefi,
+        tREFIpb=min(base.tREFIpb, trefi),
         tRFCab_ns=trfc_ns,
-        tRFCpb_ns=base.tRFCpb_ns,
         tREFIab_ns=base.tREFIab_ns / rate,
-        retention_ms=base.retention_ms,
         rows_per_ref=max(1, math.ceil(base.rows_per_ref / rate)),
     )
 

@@ -176,12 +176,10 @@ class Core:
     not per-instruction stepping.
     """
 
-    def __init__(self, index: int, trace, addr_map: AddressMap, controllers,
+    def __init__(self, trace, addr_map: AddressMap, controllers,
                  clock_ratio: int, id_counter):
-        self.index = index
         self.trace = trace
         self.addr_map = addr_map
-        self.rows_per_subarray = addr_map.geometry.rows_per_subarray
         self.controllers = controllers
         self.clock_ratio = clock_ratio
         self.id_counter = id_counter
@@ -201,9 +199,8 @@ class Core:
             return False
         self.cur_bubbles = rec.bubbles
         ch, rank, bank, row, col = self.addr_map.decode(rec.address)
-        sub = row // self.rows_per_subarray
-        req = MemRequest(next(self.id_counter), self.index, rec.is_write,
-                         ch, rank, bank, sub, row, col, now)
+        req = MemRequest(next(self.id_counter), rec.is_write,
+                         ch, rank, bank, row, col, now)
         req.core_ref = self
         self.cur_access = req
         return True

@@ -16,9 +16,8 @@ def make_ctrl(policy="noref", sarp=False, timing=None, **ctrl_kw):
     return ChannelController(eng, pol, **ctrl_kw)
 
 
-def req(req_id, *, write=False, rank=0, bank=0, row=0, col=0, core=0, arrival=0):
-    sub = row // 8
-    return MemRequest(req_id, core, write, 0, rank, bank, sub, row, col, arrival)
+def req(req_id, *, write=False, rank=0, bank=0, row=0, col=0, arrival=0):
+    return MemRequest(req_id, write, 0, rank, bank, row, col, arrival)
 
 
 class TestEnqueue:
@@ -117,6 +116,20 @@ class TestFrFcfs:
         assert eng.n_rd == 1                      # the hit went out first
         assert younger_hit.id not in [r.id for r in ctrl.bank_reads[0]]
 
+    def test_row_hit_behind_older_miss_in_same_bank_served_first(self):
+        ctrl = make_ctrl()
+        eng = ctrl.engine
+        eng.issue_act(0, 0, 5, 0)
+        older_miss = req(1, bank=0, row=7)
+        younger_hit = req(2, bank=0, row=5)
+        ctrl.enqueue(older_miss)
+        ctrl.enqueue(younger_hit)
+        t = eng.bank_state(0, 0).rw_ready
+        assert t < eng.bank_state(0, 0).pre_ready   # the miss cannot close the row yet
+        ctrl.tick(t)
+        assert eng.n_rd == 1 and eng.n_pre == 0
+        assert list(ctrl.bank_reads[0]) == [older_miss]
+
     def test_oldest_hit_wins_among_hits(self):
         ctrl = make_ctrl()
         eng = ctrl.engine
@@ -193,3 +206,36 @@ class TestRefreshIntegration:
         assert ctrl.stats.completed_reads == len(reqs)
         assert all(r.completion_cycle is not None and
                    r.completion_cycle - r.arrival_cycle < 10 ** 6 for r in reqs)
+
+
+class TestSubarrayParallelism:
+    """While bank 0 refreshes subarray 0 (rows 0-7) from cycle 0 to 8, a read
+    to that subarray waits and counts once as a conflict; a read to another
+    subarray of the bank activates inside the refresh."""
+
+    def run_read(self, row):
+        ctrl = make_ctrl(sarp=True)
+        ctrl.always_scan = True      # a pass every cycle: count once, not per pass
+        eng = ctrl.engine
+        eng.issue_refpb(0, 0, 0)
+        refresh_end = eng.bank_state(0, 0).refresh_end
+        ctrl.enqueue(req(1, bank=0, row=row))
+        act_at = None
+        for t in range(1, 40):
+            ctrl.tick(t)
+            if act_at is None and eng.n_act:
+                act_at = t
+        assert ctrl.stats.completed_reads == 1
+        return ctrl.stats, act_at, refresh_end
+
+    def test_read_to_refreshing_subarray_waits_and_counts_once(self):
+        stats, act_at, refresh_end = self.run_read(row=3)
+        assert act_at >= refresh_end
+        assert stats.subarray_conflicts == 1
+        assert stats.sarp_parallel_accesses == 0
+
+    def test_read_to_other_subarray_activates_during_refresh(self):
+        stats, act_at, refresh_end = self.run_read(row=20)
+        assert act_at < refresh_end
+        assert stats.sarp_parallel_accesses == 1
+        assert stats.subarray_conflicts == 0

@@ -88,7 +88,7 @@ class TestRefresh:
         eng = make_engine(tRFCab=20)
         eng.issue(DramCommand(REFAB, 0, 0), 0)
         for b in range(8):
-            assert eng.bank_refreshing(0, b, 10)
+            assert eng.bank_state(0, b).refresh_end > 10
             assert eng.ready_at(DramCommand(ACT, 0, 0, b, row=1), 10) == 20
         # other rank unaffected
         assert eng.ready_at(DramCommand(ACT, 0, 1, 0, row=1), 10) == 0
@@ -187,14 +187,14 @@ class TestInvariants:
             cmd = DramCommand(REFPB, 0, ri, bi)
             if eng.ready_at(cmd, t) <= t:
                 eng.issue(cmd, t)
-            refreshing = [b for b in range(8) if eng.bank_refreshing(ri, b, t)]
+            refreshing = [b for b in range(8) if eng.bank_state(ri, b).refresh_end > t]
             assert len(refreshing) <= 1
 
     def test_refab_all_or_none(self):
         eng = make_engine(tRFCab=20)
         eng.issue(DramCommand(REFAB, 0, 1), 5)
         for t in (5, 10, 24):
-            states = [eng.bank_refreshing(1, b, t) for b in range(8)]
+            states = [eng.bank_state(1, b).refresh_end > t for b in range(8)]
             assert all(states) or not any(states)
 
     def test_activation_rate_bound(self):

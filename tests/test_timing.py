@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -167,6 +168,16 @@ class TestFgr:
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             fgr_timing(timing_for(32), "8x")
+
+    def test_only_refresh_fields_change(self):
+        changed = {"tRFCab", "tREFIab", "tREFIpb", "tRFCab_ns", "tREFIab_ns",
+                   "rows_per_ref"}
+        base = timing_for(32)
+        for mode in ("2x", "4x"):
+            v = fgr_timing(base, mode)
+            for f in dataclasses.fields(base):
+                if f.name not in changed:
+                    assert getattr(v, f.name) == getattr(base, f.name), (mode, f.name)
 
     def test_interval_never_lengthened(self):
         # A shorter interval is retention-safe; a longer one is not.

@@ -169,7 +169,7 @@ class _StubController:
 def make_core(trace, ctrl=None):
     ctrl = ctrl or _StubController()
     amap = AddressMap(GEO)
-    core = Core(0, trace, amap, {0: ctrl, 1: ctrl} if isinstance(ctrl, _StubController) else ctrl,
+    core = Core(trace, amap, {0: ctrl, 1: ctrl} if isinstance(ctrl, _StubController) else ctrl,
                 clock_ratio=6, id_counter=itertools.count())
     return core, ctrl
 
